@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy import stats as sps
 
+# scipy.stats is imported inside the normal and Student t methods and
+# joint_ddf, not here: it takes longer to import than the whole package.
 from .errors import DomainError, MomentError, UnsupportedPairError, NoLinearRegressionError
 
 # Deterministic evaluation of the Student-t joint cdf (its Genz integrator
@@ -118,12 +119,15 @@ class NormalMargin:
             raise DomainError(f"sigma must be > 0, got {self.sigma}")
 
     def ddf(self, x):
+        from scipy import stats as sps
         return sps.norm.sf(x, loc=self.mu, scale=self.sigma)
 
     def cdf(self, x):
+        from scipy import stats as sps
         return sps.norm.cdf(x, loc=self.mu, scale=self.sigma)
 
     def quantile(self, u):
+        from scipy import stats as sps
         return sps.norm.ppf(u, loc=self.mu, scale=self.sigma)
 
     def mean(self) -> float:
@@ -145,12 +149,15 @@ class StudentTMargin:
             raise DomainError(f"need nu > 1 for a finite mean, got {self.nu}")
 
     def ddf(self, x):
+        from scipy import stats as sps
         return sps.t.sf(x, df=self.nu, loc=self.mu, scale=self.sigma)
 
     def cdf(self, x):
+        from scipy import stats as sps
         return sps.t.cdf(x, df=self.nu, loc=self.mu, scale=self.sigma)
 
     def quantile(self, u):
+        from scipy import stats as sps
         return sps.t.ppf(u, df=self.nu, loc=self.mu, scale=self.sigma)
 
     def mean(self) -> float:
@@ -410,6 +417,8 @@ def joint_ddf(f: BivariateFamily, x, y):
         if isinstance(f, BVP3):
             out = out * (1.0 + xt) ** (-f.delta_x)
         return float(out) if (np.ndim(x) == 0 and np.ndim(y) == 0) else out
+
+    from scipy import stats as sps
 
     xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float),
                                  np.asarray(y, dtype=float))

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import oracle as _oracle
 from .distributions import (
@@ -65,22 +64,61 @@ class CorrelationReport:
     detail: dict = field(default_factory=dict)
 
 
-def _u_ranks(v: np.ndarray) -> np.ndarray:
-    """Plotting positions r_i / (n+1), average ranks for ties.
+def _ranks(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average ranks of v (ties share their mean rank) and tie-group ids.
+
+    One argsort serves both.  A rank r is a half-integer, exact in floating
+    point, so r / (n+1) matches scipy's average ranks over n+1 bit for bit.
+    gid[i] is the index of v[i]'s distinct value in ascending order; the
+    bootstrap ranks a resample from it without sorting again.
+    """
+    n = v.size
+    order = np.argsort(v)
+    sv = v[order]
+    new = np.empty(n, dtype=bool)
+    new[:1] = True
+    np.not_equal(sv[1:], sv[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=n)
+    gid = np.empty(n, dtype=np.intp)
+    gid[order] = np.cumsum(new) - 1
+    return (starts + (counts + 1) / 2.0)[gid], gid
+
+
+def _rank_weights(w: WeightFunction, r: np.ndarray, n: int) -> np.ndarray:
+    """w(1 - u) at the plotting positions u = r / (n+1).
 
     Keeps every weight argument strictly inside (0, 1), so weights are never
     evaluated at the endpoints.
     """
-    return rankdata(v, method="average") / (v.size + 1.0)
+    return w(1.0 - r / (n + 1.0))
 
 
-def _cw_from_arrays(xs: np.ndarray, ys: np.ndarray, w: WeightFunction) -> float:
-    dev = xs - xs.mean()
-    num = dev @ w(1.0 - _u_ranks(ys))
-    wx = w(1.0 - _u_ranks(xs))
+def _count_rank_weights(table: np.ndarray, gid: np.ndarray,
+                        cs: np.ndarray) -> np.ndarray:
+    """_rank_weights of the drawn points of a resample given as counts.
+
+    gid holds the drawn points' tie groups and cs their counts.  A group's
+    average rank in the resample is r = cumsum(cg) - (cg - 1)/2 over the
+    group counts cg, a half-integer in [1, n]; table[2r - 2] holds the
+    weight at rank r, so w is not evaluated per resample.
+    """
+    cg = np.bincount(gid, weights=cs)
+    return table[(2.0 * np.cumsum(cg) - cg - 1.0).astype(np.intp)[gid]]
+
+
+def _cw_ratio(xs: np.ndarray, dev: np.ndarray, wx: np.ndarray,
+              wy: np.ndarray) -> float:
+    """(dev . wy) / (dev . wx), refusing a zero denominator.
+
+    dev are the (count-weighted) deviations of xs from their mean.  Constant
+    xs are tested directly: their mean can round off the common value, which
+    leaves deviations that the scale test lets through.
+    """
+    num = dev @ wy
     den = dev @ wx
     scale = np.abs(dev).sum() * max(np.abs(wx).max(), 1e-300)
-    if abs(den) <= _DEGENERATE_REL * scale:
+    if np.ptp(xs) == 0.0 or abs(den) <= _DEGENERATE_REL * scale:
         raise DegenerateSampleError(
             "denominator covariance is numerically zero "
             "(constant xs or constant weight)"
@@ -88,20 +126,26 @@ def _cw_from_arrays(xs: np.ndarray, ys: np.ndarray, w: WeightFunction) -> float:
     return num / den
 
 
-def _bootstrap_se(fn, xs: np.ndarray, ys: np.ndarray, n_boot: int,
-                  seed: int) -> float:
+def _bootstrap_se(stat, xs: np.ndarray, ys: np.ndarray, n_boot: int,
+                  seed: int) -> tuple[float, dict]:
     """Seeded nonparametric bootstrap; degenerate resamples are skipped.
 
-    (With replacement, a tiny sample occasionally redraws one point n
-    times; such resamples carry no spread information.)
+    A resample is described by its multiplicity counts over the fixed
+    sample: c = bincount of the same rng.integers(0, n, n) draw that would
+    index it.  stat(xr, yr, sel, cs) gets the points drawn at least once,
+    their indices sel and their counts cs, and raises DegenerateSampleError
+    on a resample without spread information.  (With replacement, a tiny
+    sample occasionally redraws one point n times.)  Returns the standard
+    error and a detail map with the resamples used and skipped.
     """
     rng = np.random.default_rng(seed)
     n = xs.size
     vals = []
     for _ in range(n_boot):
-        idx = rng.integers(0, n, n)
+        c = np.bincount(rng.integers(0, n, n), minlength=n)
+        sel = np.flatnonzero(c > 0)
         try:
-            vals.append(fn(xs[idx], ys[idx]))
+            vals.append(stat(xs[sel], ys[sel], sel, c[sel].astype(float)))
         except DegenerateSampleError:
             continue
     if len(vals) < max(10, n_boot // 4):
@@ -109,7 +153,8 @@ def _bootstrap_se(fn, xs: np.ndarray, ys: np.ndarray, n_boot: int,
             f"bootstrap failed: only {len(vals)}/{n_boot} resamples were "
             "non-degenerate"
         )
-    return float(np.std(vals, ddof=1))
+    return float(np.std(vals, ddof=1)), {"n_boot_used": len(vals),
+                                         "n_boot_skipped": n_boot - len(vals)}
 
 
 def empirical_cw(s: PairedSample, w: WeightFunction, n_boot: int = 200,
@@ -124,27 +169,56 @@ def empirical_cw(s: PairedSample, w: WeightFunction, n_boot: int = 200,
     ranks can break them slightly, which is documented, not enforced.
 
     n_boot > 0 attaches a seeded nonparametric-bootstrap standard error;
-    pass 0 to skip it on large inputs.
+    pass 0 to skip it on large inputs.  Each margin is sorted once: a
+    resample is drawn as multiplicity counts over the sample and ranked
+    from those counts and the tie groups, never re-sorted, and w is
+    evaluated once per possible average rank, not per resample.  Constant
+    xs have no C_w: the sample raises DegenerateSampleError and such a
+    resample is skipped; detail records n_boot_used and n_boot_skipped.
     """
-    value = _cw_from_arrays(s.xs, s.ys, w)
-    se = None
+    n = s.n
+    rx, gx = _ranks(s.xs)
+    ry, gy = _ranks(s.ys)
+    value = _cw_ratio(s.xs, s.xs - s.xs.mean(), _rank_weights(w, rx, n),
+                      _rank_weights(w, ry, n))
+    se, detail = None, {}
     if n_boot > 0:
-        se = _bootstrap_se(lambda x, y: _cw_from_arrays(x, y, w),
-                           s.xs, s.ys, n_boot, seed)
-    return CorrelationReport(value, "empirical", se, w.describe())
+        # w at every average rank a resample can produce: 1, 1.5, ..., n
+        table = _rank_weights(w, np.arange(2, 2 * n + 1) / 2.0, n)
+
+        def stat(xr, yr, sel, cs):
+            return _cw_ratio(xr, cs * (xr - (cs @ xr) / n),
+                             _count_rank_weights(table, gx[sel], cs),
+                             _count_rank_weights(table, gy[sel], cs))
+
+        se, detail = _bootstrap_se(stat, s.xs, s.ys, n_boot, seed)
+    return CorrelationReport(value, "empirical", se, w.describe(), detail)
 
 
 def empirical_pearson(s: PairedSample, n_boot: int = 200,
                       seed: int = 0) -> CorrelationReport:
-    """Plain sample Pearson correlation, for side-by-side comparisons."""
-    if s.xs.std() == 0.0 or s.ys.std() == 0.0:
+    """Plain sample Pearson correlation, for side-by-side comparisons.
+
+    A constant margin raises DegenerateSampleError (tested by range, since
+    the mean of equal values can round off them); the bootstrap uses
+    count-weighted moments and skips resamples with a constant margin.
+    """
+    if np.ptp(s.xs) == 0.0 or np.ptp(s.ys) == 0.0:
         raise DegenerateSampleError("Pearson correlation undefined: constant margin")
     value = float(np.corrcoef(s.xs, s.ys)[0, 1])
-    se = None
+    se, detail = None, {}
     if n_boot > 0:
-        se = _bootstrap_se(lambda x, y: float(np.corrcoef(x, y)[0, 1]),
-                           s.xs, s.ys, n_boot, seed)
-    return CorrelationReport(value, "empirical", se, "n/a")
+        n = s.n
+
+        def stat(xr, yr, sel, cs):
+            if np.ptp(xr) == 0.0 or np.ptp(yr) == 0.0:
+                raise DegenerateSampleError("resample has a constant margin")
+            dx = xr - (cs @ xr) / n
+            dy = yr - (cs @ yr) / n
+            return (cs @ (dx * dy)) / math.sqrt((cs @ (dx * dx)) * (cs @ (dy * dy)))
+
+        se, detail = _bootstrap_se(stat, s.xs, s.ys, n_boot, seed)
+    return CorrelationReport(value, "empirical", se, "n/a", detail)
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +230,16 @@ def lambda_w_empirical(xs, w: WeightFunction) -> float:
 
     Built so that empirical C_w(xs, -xs) == -lambda_w(xs) bit-for-bit on
     tie-free data: both sides evaluate w on the identical rank arrays.
+    xs is ranked once.
     """
     xs = np.asarray(xs, dtype=float)
-    dev = xs - xs.mean()
-    wx = w(1.0 - _u_ranks(xs))
-    num = dev @ w(1.0 - _u_ranks(-xs))
-    den = dev @ wx
-    scale = np.abs(dev).sum() * max(np.abs(wx).max(), 1e-300)
-    if abs(den) <= _DEGENERATE_REL * scale:
-        raise DegenerateSampleError("lambda_w undefined on a degenerate sample")
-    return -num / den
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("lambda_w needs finite sample values")
+    n = xs.size
+    r, _ = _ranks(xs)
+    # under average ties rank(-x) = n + 1 - rank(x) exactly
+    return -_cw_ratio(xs, xs - xs.mean(), _rank_weights(w, r, n),
+                      _rank_weights(w, n + 1.0 - r, n))
 
 
 def lambda_w_margin(margin, w: WeightFunction,

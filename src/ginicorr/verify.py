@@ -226,8 +226,7 @@ def _check_classical_vs_gini_normal():
     s = sample(Normal(rho=0.5), 100_000, seed=4242)
     w = WeightFunction.power(2.0)
     g = wipm.gini_premium(s, w).premium
-    u = gini._u_ranks(s.ys)
-    wv = w(1.0 - u)
+    wv = gini._rank_weights(w, gini._ranks(s.ys)[0], s.n)
     cls = wipm.classical_wipm_rhs(s, lambda y: np.interp(y, np.sort(s.ys),
                                                          wv[np.argsort(s.ys)]))
     err = abs(cls.premium - g)

@@ -25,7 +25,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import gini as _gini
 from .distributions import BVP3, PairedSample, margins, regression_line
@@ -94,11 +93,19 @@ class Portfolio:
 def _rank_weights(ys: np.ndarray, w: WeightFunction, orientation: str) -> np.ndarray:
     if orientation not in ORIENTATIONS:
         raise DomainError(f"orientation must be one of {ORIENTATIONS}")
-    u = rankdata(ys, method="average") / (ys.size + 1.0)
-    wv = w(1.0 - u)
+    wv = _gini._rank_weights(w, _gini._ranks(ys)[0], ys.size)
     if orientation == "risk_loading":
         wv = 1.0 - wv
     return wv
+
+
+def _premium(xs: np.ndarray, wv: np.ndarray) -> float:
+    """E[X w] / E[w] on the sample, for rank weights wv."""
+    if np.ptp(wv) == 0.0:
+        raise DegenerateSampleError(
+            "weight is constant on the sample's rank range (degenerate ranks)"
+        )
+    return float((xs @ wv) / wv.sum())
 
 
 def weighted_premium(s: PairedSample, v_of_y) -> PremiumResult:
@@ -129,12 +136,7 @@ def gini_premium(s: PairedSample, w: WeightFunction,
     transforms of Y and scale-equivariant in X.  See the module docstring
     for the orientation of the weight and the sign of the loading.
     """
-    wv = _rank_weights(s.ys, w, orientation)
-    if np.ptp(wv) == 0.0:
-        raise DegenerateSampleError(
-            "weight is constant on the sample's rank range (degenerate ranks)"
-        )
-    premium = float((s.xs @ wv) / wv.sum())
+    premium = _premium(s.xs, _rank_weights(s.ys, w, orientation))
     return PremiumResult(premium, float(s.xs.mean()), "empirical",
                          {"n": s.n, "orientation": orientation})
 
@@ -161,14 +163,16 @@ def gini_wipm_rhs(f_or_s, w: WeightFunction,
     """
     if isinstance(f_or_s, PairedSample):
         s = f_or_s
-        cw = _gini.empirical_cw(s, w, n_boot=0).value
+        wx = _gini._rank_weights(w, _gini._ranks(s.xs)[0], s.n)
+        wy = _gini._rank_weights(w, _gini._ranks(s.ys)[0], s.n)
         dev_x = s.xs - s.xs.mean()
         dev_y = s.ys - s.ys.mean()
-        cov_x = dev_x @ w(1.0 - _gini._u_ranks(s.xs)) / s.n
-        cov_y = dev_y @ w(1.0 - _gini._u_ranks(s.ys)) / s.n
+        cw = _gini._cw_ratio(s.xs, dev_x, wx, wy)
+        cov_x = dev_x @ wx / s.n
+        cov_y = dev_y @ wy / s.n
         if cov_y == 0.0:
             raise DegenerateSampleError("Cov[Y, w(1-F_Y)] estimate is zero")
-        pi_y = gini_premium(PairedSample(s.ys, s.ys, dict(s.meta)), w).premium
+        pi_y = _premium(s.ys, wy)
         ex, ey = float(s.xs.mean()), float(s.ys.mean())
         slope = cw * cov_x / cov_y
         return PremiumResult(ex + slope * (pi_y - ey), ex, "empirical",

@@ -1,6 +1,10 @@
 """Command-line surface tests: determinism, exit codes, wire formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,3 +273,14 @@ class TestParserHygiene:
                                "--out", str(path))
         assert code == 0 and out == ""
         assert "closed_form" in path.read_text()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs more to import than the package; only the normal
+    # and Student t margins need it, and they import it on first use
+    src = str(Path(ginicorr.gini.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, ginicorr.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

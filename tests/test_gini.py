@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from ginicorr.distributions import (
     BVP1,
@@ -23,6 +24,7 @@ from ginicorr.errors import (
     UnsupportedPairError,
 )
 from ginicorr.gini import (
+    _ranks,
     closed_cw,
     cov_x_weighted,
     cw_via_regression,
@@ -142,12 +144,21 @@ class TestEmpiricalCw:
         with pytest.raises(DegenerateSampleError):
             empirical_cw(s, W_ID, n_boot=0)
 
+    def test_constant_xs_with_rounded_mean_raise(self):
+        # np.full(10, 0.11).mean() != 0.11: the deviations are not zero
+        xs = np.full(10, 0.11)
+        with pytest.raises(DegenerateSampleError):
+            empirical_cw(PairedSample(xs, np.arange(10.0)), W_POW2, n_boot=0)
+        with pytest.raises(DegenerateSampleError):
+            lambda_w_empirical(xs, W_POW2)
+
     def test_bootstrap_se_present_and_stable(self):
         rng = np.random.default_rng(9)
         s = _random_sample(rng, n=500)
         r1 = empirical_cw(s, W_ID, n_boot=50, seed=3)
         r2 = empirical_cw(s, W_ID, n_boot=50, seed=3)
         assert r1.std_error == r2.std_error and r1.std_error > 0.0
+        assert r1.detail["n_boot_used"] + r1.detail["n_boot_skipped"] == 50
 
 
 class TestEmpiricalPearson:
@@ -165,6 +176,117 @@ class TestEmpiricalPearson:
     def test_degenerate(self):
         with pytest.raises(DegenerateSampleError):
             empirical_pearson(PairedSample(np.ones(5), np.arange(5.0)), n_boot=0)
+        # np.full(10, 0.11).std() is 1.4e-17, not 0
+        with pytest.raises(DegenerateSampleError):
+            empirical_pearson(PairedSample(np.full(10, 0.11), np.arange(10.0)), n_boot=0)
+
+    def test_bootstrap_skips_constant_resamples(self):
+        # at n = 4, some of 200 resamples redraw a single point
+        rep = empirical_pearson(PairedSample([1, 2, 3, 4], [2, 1, 4, 3]), n_boot=200)
+        assert np.isfinite(rep.std_error) and rep.std_error > 0.0
+        assert rep.detail["n_boot_skipped"] > 0
+        assert rep.detail["n_boot_used"] + rep.detail["n_boot_skipped"] == 200
+
+
+# ---------------------------------------------------------------------------
+# the ranking kernel and the multiplicity-count bootstrap, against scipy's
+# rankdata and against the resample-and-rerank bootstrap they replaced
+# ---------------------------------------------------------------------------
+
+def _rerank_cw(xs, ys, w):
+    n = xs.size
+    dev = xs - xs.mean()
+    num = dev @ w(1.0 - rankdata(ys, method="average") / (n + 1.0))
+    wx = w(1.0 - rankdata(xs, method="average") / (n + 1.0))
+    den = dev @ wx
+    scale = np.abs(dev).sum() * max(np.abs(wx).max(), 1e-300)
+    if abs(den) <= 1e-12 * scale:
+        raise DegenerateSampleError("degenerate resample")
+    return num / den
+
+
+def _rerank_bootstrap_se(stat, xs, ys, n_boot, seed):
+    """Re-index each resample and recompute stat on it (ranks re-sorted)."""
+    rng = np.random.default_rng(seed)
+    n = xs.size
+    vals = []
+    for _ in range(n_boot):
+        idx = rng.integers(0, n, n)
+        try:
+            vals.append(stat(xs[idx], ys[idx]))
+        except DegenerateSampleError:
+            continue
+    return float(np.std(vals, ddof=1)), len(vals)
+
+
+W_TABLE = WeightFunction.table([0.0, 0.3, 0.7, 1.0], [0.0, 0.2, 0.6, 1.0])
+
+
+class TestRankKernel:
+    @given(values=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=300),
+           decimals=st.sampled_from([None, 1, 0]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rankdata_bitwise(self, values, decimals):
+        # rounding to 1 or 0 decimals leaves at most 61 or 7 distinct values
+        v = np.array(values)
+        if decimals is not None:
+            v = np.round(v, decimals)
+        r, gid = _ranks(v)
+        assert np.array_equal(r / (v.size + 1.0), rankdata(v) / (v.size + 1.0))
+        assert np.array_equal(gid, np.unique(v, return_inverse=True)[1])
+
+
+class TestCountsBootstrap:
+    @pytest.mark.parametrize("w", [W_POW2, W_BETA, W_TABLE, None],
+                             ids=["power", "beta", "table", "pearson"])
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_matches_rerank_bootstrap(self, w, tied):
+        s = sample(BVP2(delta=2.1, delta_y=0.5254), 400, seed=17)
+        if tied:  # about 15 distinct values per margin
+            s = PairedSample(np.round(s.xs), np.round(s.ys, 1))
+        if w is None:
+            rep = empirical_pearson(s, n_boot=200, seed=5)
+            stat = lambda x, y: float(np.corrcoef(x, y)[0, 1])  # noqa: E731
+        else:
+            rep = empirical_cw(s, w, n_boot=200, seed=5)
+            stat = lambda x, y: _rerank_cw(x, y, w)  # noqa: E731
+        se, used = _rerank_bootstrap_se(stat, s.xs, s.ys, 200, seed=5)
+        assert rep.std_error == pytest.approx(se, rel=1e-12)
+        assert rep.detail["n_boot_used"] == used
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           w=st.sampled_from([W_ID, W_POW2, W_BETA, W_TABLE]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_rerank_bootstrap_any_seed(self, seed, w):
+        rng = np.random.default_rng(seed)
+        s = PairedSample(rng.standard_normal(60), np.round(rng.standard_normal(60), 1))
+        rep = empirical_cw(s, w, n_boot=50, seed=seed)
+        se, used = _rerank_bootstrap_se(lambda x, y: _rerank_cw(x, y, w),
+                                        s.xs, s.ys, 50, seed)
+        assert rep.std_error == pytest.approx(se, rel=1e-12)
+        assert rep.detail["n_boot_used"] == used
+
+    def test_n5_skips_the_same_degenerate_resamples(self):
+        # integer values keep every resample mean exact on both sides
+        s = PairedSample([3.0, 1.0, 4.0, 1.0, 5.0], [9.0, 2.0, 6.0, 5.0, 3.0])
+        rep = empirical_cw(s, W_POW2, n_boot=200, seed=3)
+        se, used = _rerank_bootstrap_se(lambda x, y: _rerank_cw(x, y, W_POW2),
+                                        s.xs, s.ys, 200, 3)
+        assert used < 200
+        assert rep.detail == {"n_boot_used": used, "n_boot_skipped": 200 - used}
+        assert rep.std_error == pytest.approx(se, rel=1e-12)
+
+    def test_skips_exactly_the_constant_x_resamples(self):
+        # for these values fl(fl(5 v) / 5) != v, so a resample that redraws
+        # one point five times has a rounding-born nonzero deviation that
+        # the scale test alone would let through
+        xs = np.array([0.11, 0.21, 0.42, 0.83, 0.94])
+        s = PairedSample(xs, np.array([0.5, 0.1, 0.9, 0.3, 0.7]))
+        rng = np.random.default_rng(3)
+        constant = sum(np.ptp(xs[rng.integers(0, 5, 5)]) == 0.0 for _ in range(200))
+        rep = empirical_cw(s, W_POW2, n_boot=200, seed=3)
+        assert constant > 0
+        assert rep.detail["n_boot_skipped"] == constant
 
 
 class TestCovXWeighted:
