@@ -16,7 +16,6 @@ offers four routes that must agree where their domains overlap:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +35,6 @@ from .distributions import (
     regression_line,
 )
 from .errors import (
-    ConvergenceError,
     DegenerateSampleError,
     DomainError,
     MomentError,
@@ -328,82 +326,45 @@ def _bvp2_beta(delta: float, dys: float, a: float, b: float) -> float:
     return (1.0 / delta) * shape_factor(dys) / shape_factor(delta)
 
 
-# The two candidate coefficient conventions for the BVP3 closed form. The
-# raw mixed-partial coefficients win the oracle arbitration (the density
-# then integrates to one); the unit convention is kept only so the
-# resolution test has a live alternative to reject.
-BVP3_CONVENTIONS = ("mixed_partial", "unit")
-
-
-def bvp3_closed_gamma(f: BVP3, gamma: float,
-                      convention: str = "mixed_partial") -> float:
-    """Extended Gini correlation of BVP3 from the triple-index expansion.
-
-    Sums 3F2(delta+i3, 2, 1; dX*+i1+i3, (gamma+1) dY*+i2+i3; 1) over the
-    density triplets and assembles the covariance ratio from the exact
-    uniform moments.  Needs dX* > 1 and convergence margin
-    h = delta_x + (gamma+1) dY* - 1 > 0.
-    """
+def _bvp3_closed(f: BVP3, gamma: float) -> tuple[float, dict]:
+    """bvp3_closed_gamma with the diagnostics of the series it summed."""
     from .distributions import bvp3_pdf_terms
 
-    if convention not in BVP3_CONVENTIONS:
-        raise DomainError(f"unknown convention {convention!r}")
     if not gamma > 0.0:
         raise DomainError(f"gamma must be > 0, got {gamma}")
     dxs, dys = f.delta_x_star, f.delta_y_star
     if dxs <= 1.0:
         raise MomentError(f"needs delta_x* > 1 for a finite mean, got {dxs}")
-    h = f.delta_x + (gamma + 1.0) * dys - 1.0
-    if h <= 0.0:
-        raise ConvergenceError(
-            f"3F2 convergence margin h = delta_x + (gamma+1) delta_y* - 1 = "
-            f"{h:.6g} <= 0"
-        )
-    terms = [(trip, c) for trip, c in bvp3_pdf_terms(f) if c != 0.0]
-    if convention == "unit":
-        terms = [(trip, 1.0) for trip, _ in terms]
-
-    def series_block(i1, i2, i3):
+    moment = 0.0
+    sums = []
+    for (i1, i2, i3), coeff in bvp3_pdf_terms(f):
+        if coeff == 0.0:
+            continue
         m = dxs + i1 + i3
         c = (gamma + 1.0) * dys + i2 + i3
         val = hyp_pfq(HypergeometricSpec((f.delta + i3, 2.0, 1.0), (m, c), 1.0))
-        return val / ((m - 2.0) * (m - 1.0) * (c - 1.0))
-
-    if convention == "unit":
-        # the formula exactly as printed, with d_i = 1 on the live triplets
-        lead = (dxs * (gamma + 1.0) + 1.0) / (dxs * gamma)
-        tot = sum(
-            coeff * (dxs - 1.0) * (gamma + 1.0) * (dxs * (gamma + 1.0) - 1.0)
-            * series_block(*trip)
-            for trip, coeff in terms
-        )
-        return lead - tot / (dxs * gamma)
-
-    moment = sum(coeff * series_block(*trip) for trip, coeff in terms)
+        sums.append(val)
+        moment += coeff * (val / ((m - 2.0) * (m - 1.0) * (c - 1.0)))
     cov_num = moment - 1.0 / ((dxs - 1.0) * (gamma + 1.0))
     cov_den = -(gamma / (gamma + 1.0)) * dxs / ((dxs - 1.0) * (dxs * (gamma + 1.0) - 1.0))
-    return cov_num / cov_den
+    detail = {"h": f.delta_x + (gamma + 1.0) * dys - 1.0,
+              "series_margin": min(v.margin for v in sums),
+              "series_terms": sum(v.terms for v in sums)}
+    return cov_num / cov_den, detail
 
 
-@functools.lru_cache(maxsize=1)
-def resolve_bvp3_convention() -> str:
-    """One-time arbitration of the coefficient convention by the 2-d oracle.
+def bvp3_closed_gamma(f: BVP3, gamma: float) -> float:
+    """Extended Gini correlation of BVP3 from the triple-index expansion.
 
-    Exactly one candidate reproduces the quadrature value of the extended
-    Gini correlation; the winner is cached for the process lifetime.
+    Sums 3F2(delta+i3, 2, 1; dX*+i1+i3, (gamma+1) dY*+i2+i3; 1) over the
+    density triplets, weighted by the coefficients of the density's mixed
+    partial derivative, and assembles the covariance ratio from the exact
+    uniform moments.  Needs dX* > 1, which makes the convergence margin
+    h = delta_x + (gamma+1) dY* - 1 exceed dX* - 1 > 0.  Every live series
+    has 1 < dX*+i1+i3 and 1 < (gamma+1) dY*+i2+i3, so hyp_pfq sums it at
+    margin max(h, 1) or more (Thomae's transformation when h < 1).
     """
-    probe = BVP3(delta=1.5, delta_x=1.5, delta_y=1.0)
-    target = _oracle.quad2_bvp3_moment(probe, 1.0)
-    matches = [
-        conv for conv in BVP3_CONVENTIONS
-        if abs(bvp3_closed_gamma(probe, 1.0, conv) - target) < 1e-4
-    ]
-    if len(matches) != 1:
-        raise ConvergenceError(
-            f"convention arbitration inconclusive: {matches!r} matched "
-            f"oracle value {target!r}"
-        )
-    return matches[0]
+    return _bvp3_closed(f, gamma)[0]
 
 
 def closed_cw(f: BivariateFamily, w: WeightFunction) -> CorrelationReport:
@@ -411,8 +372,9 @@ def closed_cw(f: BivariateFamily, w: WeightFunction) -> CorrelationReport:
 
     Normal and elliptical-t: the (dispersion) correlation, for every
     admissible weight.  BVP1: 1/delta for every admissible weight (delta > 1).
-    BVP2: power or beta-c.d.f. weights.  BVP3: power weights, under the
-    oracle-pinned coefficient convention.
+    BVP2: power or beta-c.d.f. weights.  BVP3: power weights; detail
+    records the direct 3F2 margin h, the smallest margin actually summed
+    (series_margin, at least 1) and the total terms summed (series_terms).
     """
     detail = {}
     if isinstance(f, Normal):
@@ -443,9 +405,7 @@ def closed_cw(f: BivariateFamily, w: WeightFunction) -> CorrelationReport:
                 f"no closed form for BVP3 with a {w.kind} weight",
                 suggestion="empirical_cw or oracle.quad2_bvp3_moment",
             )
-        convention = resolve_bvp3_convention()
-        value = bvp3_closed_gamma(f, gamma, convention)
-        detail["di_convention"] = convention
+        value, detail = _bvp3_closed(f, gamma)
     else:
         raise DomainError(f"unknown family {f!r}")
     return CorrelationReport(float(value), "closed_form", None, w.describe(), detail)

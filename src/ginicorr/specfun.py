@@ -128,8 +128,25 @@ def _term_log_ratio(upper, lower, k: int) -> float:
     return out
 
 
-def _sum_unit_argument(spec: HypergeometricSpec, rel_tol: float,
-                       cap: int) -> float:
+class _UnitSum(float):
+    """A z = 1 series sum that also records how it was obtained.
+
+    representation is "direct" or "thomae", margin the convergence margin
+    of the series actually summed and terms the number of terms it took.
+    It is a float, so callers that want only the value see no difference.
+    """
+
+    def __new__(cls, value: float, representation: str, margin: float,
+                terms: int):
+        out = super().__new__(cls, value)
+        out.representation = representation
+        out.margin = margin
+        out.terms = terms
+        return out
+
+
+def _sum_unit_argument(spec: HypergeometricSpec, rel_tol: float, cap: int,
+                       representation: str = "direct") -> tuple[float, int]:
     """Positive-term series at z = 1 with an algebraic tail correction.
 
     Terms decay like k^(-1-h); a bare term-vs-sum stop rule leaves a tail of
@@ -137,6 +154,8 @@ def _sum_unit_argument(spec: HypergeometricSpec, rel_tol: float,
         T_k = t_k * (k/h + 1/2 - e1 / (h (1+h))),
     e1 = (h + sum a^2 - sum b^2) / 2, whose residual shrinks like
     T_k / k^2, and stop once that residual estimate clears rel_tol.
+    Returns the sum and the number of terms summed; `representation` only
+    names the series in the SeriesCapError message.
     """
     upper, lower, h = spec.upper, spec.lower, spec.h
     e1 = (h + sum(a * a for a in upper) - sum(b * b for b in lower)) / 2.0
@@ -162,11 +181,40 @@ def _sum_unit_argument(spec: HypergeometricSpec, rel_tol: float,
                 # residual of (sum + tail) decays ~ tail / k^2; 5x safety margin
                 # (measured residual is 50-3000x below tail/k^2 for h in [0.5, 5])
                 if tail * 5.0 <= rel_tol * abs(s) * kk * kk:
-                    return s + tail
+                    return s + tail, kk
     raise SeriesCapError(
-        f"series cap {cap} reached at z=1 (h={h:.6g}); partial sum {s!r}",
+        f"series cap {cap} reached at z=1 in the {representation} "
+        f"representation (margin {h:.6g}); partial sum {s!r}",
         partial_sum=s, last_term=t, terms=cap,
     )
+
+
+def _sum_at_one(spec: HypergeometricSpec, rel_tol: float, cap: int) -> _UnitSum:
+    """z = 1 sum in whichever representation has the larger margin.
+
+    Thomae's transformation (DLMF 16.4.11) pivoting on an upper parameter
+    a with a < d and a < e, the lower ones,
+        3F2(a, b, c; d, e; 1) = G(d) G(e) G(h) / (G(a) G(h+b) G(h+c))
+                                * 3F2(d-a, e-a, h; h+b, h+c; 1),
+    turns the margin h into a and keeps every parameter > 0.  The pivot is
+    the largest such a, taken only when a > h, so a series whose direct
+    margin is the largest is summed exactly as written.
+    """
+    h = spec.h
+    pivots = ([a for a in spec.upper if h < a < min(spec.lower)]
+              if len(spec.upper) == 3 else [])
+    if not pivots:
+        value, terms = _sum_unit_argument(spec, rel_tol, cap)
+        return _UnitSum(value, "direct", h, terms)
+    a = max(pivots)
+    rest = list(spec.upper)
+    rest.remove(a)
+    (b, c), (d, e) = rest, spec.lower
+    thomae = HypergeometricSpec((d - a, e - a, h), (h + b, h + c), 1.0)
+    value, terms = _sum_unit_argument(thomae, rel_tol, cap, "thomae")
+    log_pre = (math.lgamma(d) + math.lgamma(e) + math.lgamma(h) - math.lgamma(a)
+               - math.lgamma(h + b) - math.lgamma(h + c))
+    return _UnitSum(math.exp(log_pre) * value, "thomae", a, terms)
 
 
 def _sum_interior(spec: HypergeometricSpec, rel_tol: float, cap: int) -> float:
@@ -217,8 +265,15 @@ def hyp_pfq(spec: HypergeometricSpec, rel_tol: float = SERIES_REL_TOL,
     """Sum of the generalized hypergeometric series for `spec`.
 
     Deterministic; raises ConvergenceError when |z| = 1 with h <= 0 and
-    SeriesCapError (carrying the partial sum and last term) when the term
-    cap is exhausted.
+    SeriesCapError (carrying the partial sum and last term of the series
+    summed, and naming its representation and margin) when the term cap is
+    exhausted.
+
+    A 3F2 at z = 1 is summed directly or, when one of its upper parameters
+    a is below both lower ones and above the margin h, as its Thomae
+    transform, whose margin is a; the larger margin wins (see _sum_at_one).
+    At z = 1 the float returned also carries `representation`, `margin`
+    and `terms`.  2F1 at z = 1, |z| < 1 and z = -1 are summed directly.
     """
     if not rel_tol > 0.0:
         raise DomainError(f"rel_tol must be > 0, got {rel_tol}")
@@ -231,7 +286,7 @@ def hyp_pfq(spec: HypergeometricSpec, rel_tol: float = SERIES_REL_TOL,
                 f"series diverges at |z|=1: convergence margin h={spec.h:.6g} <= 0"
             )
         if z == 1.0:
-            return _sum_unit_argument(spec, rel_tol, term_cap)
+            return _sum_at_one(spec, rel_tol, term_cap)
     return _sum_interior(spec, rel_tol, term_cap)
 
 

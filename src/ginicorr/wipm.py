@@ -204,9 +204,10 @@ def classical_wipm_rhs(s: PairedSample, v_of_y) -> PremiumResult:
 
     E[X] + rho[X,Y] sqrt(Var X / Var Y) (pi_v[Y] - E[Y]).  Meaningless for
     infinite-variance populations; that failure mode is the reason the
-    Gini variant exists.
+    Gini variant exists.  A constant margin raises DegenerateSampleError
+    (tested by range, since the mean of equal values can round off them).
     """
-    if s.xs.std() == 0.0 or s.ys.std() == 0.0:
+    if np.ptp(s.xs) == 0.0 or np.ptp(s.ys) == 0.0:
         raise DegenerateSampleError("classical WIPM undefined: constant margin")
     rho = float(np.corrcoef(s.xs, s.ys)[0, 1])
     ratio = s.xs.std(ddof=1) / s.ys.std(ddof=1)

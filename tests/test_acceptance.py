@@ -30,7 +30,6 @@ from ginicorr.gini import (
     cov_x_weighted,
     empirical_cw,
     lambda_w_empirical,
-    resolve_bvp3_convention,
 )
 from ginicorr.oracle import QuadratureSpec, mc_reference, quad2_bvp3_moment, quad_cov_margin
 from ginicorr.specfun import hyp2f1_unit, reg_inc_beta
@@ -189,7 +188,9 @@ def test_criterion_6_curve_shapes():
 
 def test_criterion_7_bvp3_formula_vs_oracle():
     """BVP3 closed form vs the 2-d quadrature oracle and its two limits."""
-    assert resolve_bvp3_convention() == "mixed_partial"
+    probe = BVP3(delta=1.5, delta_x=1.5, delta_y=1.0)
+    assert abs(closed_cw(probe, WeightFunction.identity()).value
+               - quad2_bvp3_moment(probe, 1.0)) < 1e-4
     spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=500)
     worst = 0.0
     for d in (1.2, 1.8, 2.4):                 # dX* = 3, dY* = 2.5

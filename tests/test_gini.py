@@ -1,9 +1,11 @@
-"""Correlation-core tests: estimator identities, closed forms, the
-regression route, lambda_w, and the BVP3 convention resolution."""
+"""Correlation-core tests: estimator identities, closed forms (the BVP3
+one over its whole domain), the regression route and lambda_w."""
+
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -25,6 +27,7 @@ from ginicorr.errors import (
 )
 from ginicorr.gini import (
     _ranks,
+    bvp3_closed_gamma,
     closed_cw,
     cov_x_weighted,
     cw_via_regression,
@@ -33,9 +36,9 @@ from ginicorr.gini import (
     lambda_w,
     lambda_w_empirical,
     lambda_w_margin,
-    resolve_bvp3_convention,
 )
 from ginicorr.oracle import mc_reference, quad2_bvp3_moment, quad_cov_margin
+from ginicorr.specfun import SERIES_TERM_CAP
 from ginicorr.weights import WeightFunction
 
 W_ID = WeightFunction.identity()
@@ -45,6 +48,51 @@ W_BETA = WeightFunction.beta_cdf(2.0, 2.0)
 
 def _random_sample(rng, n=200):
     return PairedSample(rng.standard_normal(n), rng.standard_normal(n))
+
+
+def _mpmath_3f2_at_one(upper, lower):
+    """3F2(upper; lower; 1) by mpmath.
+
+    Above margin 8 the terms are summed by mpmath.nsum instead of
+    mpmath.hyp3f2, whose expansion at z = 1 loses all accuracy at large
+    margins in mpmath 1.3 (3F2(3, 2, 1; 4, 25; 1) comes back as 0.037, not
+    1.066); there the terms decay fast enough for plain summation.
+    """
+    import mpmath
+    if sum(lower) - sum(upper) < 8.0:
+        return mpmath.hyp3f2(*upper, *lower, 1)
+    (a, b, c), (d, e) = upper, lower
+    return mpmath.nsum(lambda k: mpmath.rf(a, k) * mpmath.rf(b, k) * mpmath.rf(c, k)
+                       / (mpmath.rf(d, k) * mpmath.rf(e, k) * mpmath.factorial(k)),
+                       [0, mpmath.inf])
+
+
+def _bvp3_cw_mpmath(delta, delta_x, delta_y, gamma):
+    """BVP3 extended Gini correlation with every 3F2 summed by mpmath.
+
+    The standardized density is sum_i d_i (1+x)^-(dX+i1) (1+y)^-(dY+i2)
+    (1+x+y)^-(delta+i3) over i1+i2+i3 = 2, d_i the coefficients of the
+    joint ddf's mixed partial derivative; each term's weighted moment is
+    one 3F2(delta+i3, 2, 1; dX*+i1+i3, (gamma+1) dY*+i2+i3; 1).
+    """
+    import mpmath
+    dxs, dys = delta + delta_x, delta + delta_y
+    coeff = {(0, 0, 2): delta * (delta + 1.0), (0, 1, 1): delta * delta_y,
+             (1, 0, 1): delta * delta_x, (1, 1, 0): delta_x * delta_y}
+    moment = mpmath.mpf(0)
+    for (i1, i2, i3), d in coeff.items():
+        m = dxs + i1 + i3
+        c = (gamma + 1.0) * dys + i2 + i3
+        f = _mpmath_3f2_at_one((delta + i3, 2.0, 1.0), (m, c))
+        moment += d * f / ((m - 2.0) * (m - 1.0) * (c - 1.0))
+    cov_num = moment - 1.0 / ((dxs - 1.0) * (gamma + 1.0))
+    cov_den = -(gamma / (gamma + 1.0)) * dxs / ((dxs - 1.0) * (dxs * (gamma + 1.0) - 1.0))
+    return float(cov_num / cov_den)
+
+
+# The heavy-tail corner (delta, delta_x, delta_y, gamma): direct 3F2
+# margins h = 0.13, 0.25 and 0.35
+BVP3_CORNER = [(1.0, 0.02, 0.01, 0.1), (0.9, 0.2, 0.1, 0.05), (0.9, 0.3, 0.1, 0.05)]
 
 
 class TestEmpiricalCw:
@@ -403,9 +451,13 @@ class TestClosedCw:
             closed_cw(BVP1(delta=1.0), W_ID)
 
     def test_bvp3_convention_resolution(self):
-        assert resolve_bvp3_convention() == "mixed_partial"
-        rep = closed_cw(BVP3(delta=1.8, delta_x=1.2, delta_y=0.7), W_ID)
-        assert rep.detail["di_convention"] == "mixed_partial"
+        # the mixed-partial coefficients, the only convention, reproduce the
+        # 2-d quadrature oracle at the probe point
+        probe = BVP3(delta=1.5, delta_x=1.5, delta_y=1.0)
+        assert abs(closed_cw(probe, W_ID).value
+                   - quad2_bvp3_moment(probe, 1.0)) < 1e-4
+        f = BVP3(delta=1.8, delta_x=1.2, delta_y=0.7)
+        assert closed_cw(f, W_ID).value == bvp3_closed_gamma(f, 1.0)
 
     def test_bvp3_matches_quadrature_oracle(self):
         f = BVP3(delta=1.8, delta_x=1.2, delta_y=0.7)
@@ -437,6 +489,53 @@ class TestClosedCw:
         if delta + dx > 1.0:
             h = dx + (gamma + 1.0) * (delta + dy) - 1.0
             assert h > 0.0
+
+    @given(delta=st.floats(0.05, 5.0), dx=st.floats(0.01, 5.0),
+           dy=st.floats(0.01, 5.0), gamma=st.floats(0.01, 10.0))
+    @settings(max_examples=20, deadline=None)
+    def test_bvp3_domain_sweep_vs_mpmath(self, delta, dx, dy, gamma):
+        assume(delta + dx > 1.0)
+        got = closed_cw(BVP3(delta=delta, delta_x=dx, delta_y=dy),
+                        WeightFunction.power(gamma)).value
+        assert got == pytest.approx(_bvp3_cw_mpmath(delta, dx, dy, gamma), abs=1e-9)
+
+    @pytest.mark.parametrize("point", BVP3_CORNER)
+    def test_bvp3_heavy_tail_corner_vs_mpmath(self, point):
+        delta, dx, dy, gamma = point
+        rep = closed_cw(BVP3(delta=delta, delta_x=dx, delta_y=dy),
+                        WeightFunction.power(gamma))
+        assert np.isfinite(rep.value)
+        assert rep.detail["h"] < 0.4
+        assert rep.value == pytest.approx(_bvp3_cw_mpmath(*point), abs=1e-9)
+
+    def test_bvp3_heavy_tail_corner_mc_cross_check(self):
+        # dX* = 1.02: a sample of n draws sees E[X; X < n] of E[X] = 50 only
+        # in part, so the replication spread understates the estimator's
+        # error here (see CHANGES.md); the mpmath checks above are the
+        # sharp ones
+        f = BVP3(delta=1.0, delta_x=0.02, delta_y=0.01)
+        w = WeightFunction.power(0.1)
+        mean, se = mc_reference(f, "cw", 1_000_000, seed=31, replications=10,
+                                weight=w)
+        assert abs(mean - closed_cw(f, w).value) < 4 * se
+
+    def test_bvp3_series_diagnostics(self):
+        # every live 3F2 has a legal Thomae pivot 1 (and often 2), so the
+        # smallest margin summed is at least 1 however small h gets
+        grid = itertools.product((0.05, 0.5, 1.0, 2.0, 5.0), (0.01, 0.3, 1.0, 5.0),
+                                 (0.01, 0.5, 5.0), (0.01, 0.1, 1.0, 10.0))
+        worst_terms = 0
+        for delta, dx, dy, gamma in grid:
+            if delta + dx <= 1.0:
+                continue
+            detail = closed_cw(BVP3(delta=delta, delta_x=dx, delta_y=dy),
+                               WeightFunction.power(gamma)).detail
+            assert detail["h"] == pytest.approx(dx + (gamma + 1.0) * (delta + dy) - 1.0)
+            assert detail["series_margin"] >= 1.0
+            assert detail["series_margin"] >= min(detail["h"], 2.0)
+            worst_terms = max(worst_terms, detail["series_terms"])
+        # four series together, against the cap on each one
+        assert worst_terms < SERIES_TERM_CAP // 5
 
 
 class TestRegressionRoute:

@@ -9,12 +9,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
 
 from ginicorr.errors import ConvergenceError, DomainError, SeriesCapError
 from ginicorr.specfun import (
+    SERIES_TERM_CAP,
     HypergeometricSpec,
     hyp2f1_unit,
     hyp_pfq,
@@ -209,6 +210,43 @@ class TestHypPfq:
         assert err.value.terms == 50
         assert 0.0 < err.value.partial_sum < 7.0 / 3.0
         assert err.value.last_term > 0.0
+
+    def test_thomae_cap_error_names_representation(self):
+        # h = 0.5; the pivot a = 1.5 < min(3, 2) makes the summed margin 1.5
+        spec = HypergeometricSpec((1.5, 2.0, 1.0), (3.0, 2.0), 1.0)
+        with pytest.raises(SeriesCapError) as err:
+            hyp_pfq(spec, term_cap=50)
+        assert "thomae representation (margin 1.5)" in str(err.value)
+        assert err.value.terms == 50
+
+    def test_largest_margin_representation(self):
+        # direct margin 4.5 beats every legal pivot: summed as written
+        big = hyp_pfq(HypergeometricSpec((1.5, 2.0, 1.0), (4.0, 5.0), 1.0))
+        assert (big.representation, big.margin) == ("direct", 4.5)
+        # h = 0.131: pivots 1 and 2 are legal, 3 is not (3 > 2.111)
+        small = hyp_pfq(HypergeometricSpec((3.0, 2.0, 1.0), (4.02, 2.111), 1.0))
+        assert (small.representation, small.margin) == ("thomae", 2.0)
+        assert 0 < small.terms < SERIES_TERM_CAP // 100
+        # 2F1 keeps its direct path whatever its margin
+        assert hyp2f1_unit(0.5, 0.5, 1.5).representation == "direct"
+
+    @given(h=st.floats(0.01, 1.0), a=st.floats(0.5, 4.0), b=st.floats(0.5, 4.0),
+           pivot=st.integers(0, 2), split=st.floats(0.05, 0.95),
+           order=st.permutations(range(3)))
+    @settings(max_examples=20, deadline=None)
+    def test_unit_3f2_small_margin_vs_mpmath(self, h, a, b, pivot, split, order):
+        # lower parameters d, e both above upper[pivot], so that parameter
+        # can serve as the Thomae pivot (it does when it exceeds h).  mpmath
+        # gets the unit upper parameter last, which keeps its own z = 1
+        # Euler-Maclaurin summation fast; hyp_pfq gets every order
+        import mpmath
+        upper = (a, b, 1.0)
+        room = h + sum(upper) - 2.0 * upper[pivot]
+        assume(room > 0.0)
+        lower = (upper[pivot] + split * room, upper[pivot] + (1.0 - split) * room)
+        spec = HypergeometricSpec(tuple(upper[i] for i in order), lower, 1.0)
+        want = float(mpmath.hyp3f2(*upper, *lower, 1))
+        assert hyp_pfq(spec) == pytest.approx(want, rel=1e-10)
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):

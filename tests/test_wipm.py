@@ -209,6 +209,12 @@ class TestClassicalWipm:
         with pytest.raises(DegenerateSampleError):
             classical_wipm_rhs(s, lambda y: y)
 
+    def test_constant_margin_whose_mean_rounds(self):
+        # the mean of ten 0.11s rounds off 0.11, so their std is 1.4e-17
+        s = PairedSample(np.full(10, 0.11), np.arange(10.0))
+        with pytest.raises(DegenerateSampleError):
+            classical_wipm_rhs(s, lambda y: y + 1)
+
 
 class TestAllocate:
     def test_identical_columns_split_equally(self):
