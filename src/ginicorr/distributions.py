@@ -25,8 +25,9 @@ from typing import Union
 
 import numpy as np
 
-# scipy.stats is imported inside the normal and Student t methods and
-# joint_ddf, not here: it takes longer to import than the whole package.
+# scipy.stats and scipy.special are imported inside the normal and Student t
+# methods and joint_ddf, not here: scipy.stats takes longer to import than
+# the whole package.
 from .errors import DomainError, MomentError, UnsupportedPairError, NoLinearRegressionError
 
 # Deterministic evaluation of the Student-t joint cdf (its Genz integrator
@@ -108,6 +109,20 @@ class ParetoIIMargin:
             raise MomentError(f"Pareto mean infinite for delta={self.delta} <= 1")
         return self.mu + self.sigma / (self.delta - 1.0)
 
+    symmetric = False
+
+    @property
+    def tail_index(self) -> float:
+        return self.delta
+
+    def tail_quantile(self, s, k: float = 1.0):
+        """(Q(1 - t) - mu) dt/ds at t = s^k, the upper tail in the tail variable.
+
+        k sigma (s^(k-1-k/delta) - s^(k-1)), formed from s directly: no part
+        of the tail is lost to a t = s^k that underflows.
+        """
+        return k * self.sigma * (s ** (k - 1.0 - k / self.delta) - s ** (k - 1.0))
+
 
 @dataclass(frozen=True)
 class NormalMargin:
@@ -132,6 +147,15 @@ class NormalMargin:
 
     def mean(self) -> float:
         return self.mu
+
+    symmetric = True
+    tail_index = math.inf
+
+    def tail_quantile(self, s, k: float = 1.0):
+        """(Q(1 - t) - mu) dt/ds at t = s^k, for t in (0, 1/2]."""
+        from scipy import special
+
+        return -k * self.sigma * s ** (k - 1.0) * special.ndtri(s ** k)
 
 
 @dataclass(frozen=True)
@@ -162,6 +186,31 @@ class StudentTMargin:
 
     def mean(self) -> float:
         return self.mu
+
+    symmetric = True
+
+    @property
+    def tail_index(self) -> float:
+        return self.nu
+
+    def tail_quantile(self, s, k: float = 1.0):
+        """(Q(1 - t) - mu) dt/ds at t = s^k, for t in (0, 1/2].
+
+        stdtrit saturates near |x| = 7e153, so past x = 1e20 the leading
+        tail term x = (c/t)^(1/nu) of P[T < -x] ~ c x^(-nu) is used, whose
+        relative error there is O(x^-2).  That branch is formed from log s,
+        so a t that underflows loses nothing either.
+        """
+        from scipy import special
+
+        nu = self.nu
+        log_c = (math.lgamma((nu + 1.0) / 2.0) + (nu / 2.0 - 1.0) * math.log(nu)
+                 - 0.5 * math.log(math.pi) - math.lgamma(nu / 2.0))
+        log_s = np.log(s)
+        far = k * log_s < log_c - nu * math.log(1e20)
+        near = -special.stdtrit(nu, np.where(far, 0.25, s ** k)) * s ** (k - 1.0)
+        tail = np.exp(log_c / nu + (k - 1.0 - k / nu) * log_s)
+        return k * self.sigma * np.where(far, tail, near)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .oracle import DEFAULT_QUAD, QuadratureSpec
 from .specfun import HypergeometricSpec, hyp_pfq, ln_beta
-from .weights import WeightFunction
+from .weights import WeightFunction, reflect
 
 _DEGENERATE_REL = 1e-12
 
@@ -242,19 +242,15 @@ def lambda_w_empirical(xs, w: WeightFunction) -> float:
 
 def lambda_w_margin(margin, w: WeightFunction,
                     spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Population lambda_w of a parametric margin by quantile quadrature.
+    """Population lambda_w of a parametric margin by tail-variable quadrature.
 
-    lambda_w = Cov[X, w(F_X)] / Cov[X, w*(F_X)] = -Cov[X, w(F_X)] / Cov[X, w(1-F_X)].
+    lambda_w = Cov[X, w(F_X)] / Cov[X, w*(F_X)] = Cov[X, w*(1-F_X)] / Cov[X, w(1-F_X)],
+    since w(F) = 1 - w*(1-F) for the reflected weight w* = reflect(w).
     """
-    q = margin.quantile
-    exw_f = _oracle._quad01(lambda u: float(q(u)) * w(u), spec, "E[X w(F)]")
-    ex = _oracle._quad01(lambda u: float(q(u)), spec, "E[X]")
-    ew = _oracle._quad01(lambda u: w(u), spec, "E[w(F)]")
-    cov_f = exw_f - ex * ew
     cov_sf = _oracle.quad_cov_margin(margin, w, spec)
     if cov_sf == 0.0:
         raise DegenerateSampleError("lambda_w undefined: constant weight")
-    return -cov_f / cov_sf
+    return _oracle.quad_cov_margin(margin, reflect(w), spec) / cov_sf
 
 
 def lambda_w(x, w: WeightFunction, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
@@ -303,10 +299,26 @@ def _effective_power(w: WeightFunction):
     return None, None
 
 
-def _cov_margin_weighted(margin, w: WeightFunction, spec: QuadratureSpec) -> float:
-    if isinstance(margin, ParetoIIMargin):
-        return cov_x_weighted(margin, w, spec)
-    return _oracle.quad_cov_margin(margin, w, spec)
+def _cov_margin_weighted(margin, w: WeightFunction, spec: QuadratureSpec):
+    """Cov[X, w(1-F_X)] with the quadrature error estimate and evaluations.
+
+    A Pareto closed form contributes (value, 0.0, 0).
+    """
+    if isinstance(margin, ParetoIIMargin) and w.kind != "table":
+        return cov_x_weighted(margin, w, spec), 0.0, 0
+    return _oracle._tail_cov(margin, w, spec)
+
+
+def _margin_covs(f: BivariateFamily, w: WeightFunction, spec: QuadratureSpec):
+    """(Cov[X, w(1-F_X)], Cov[Y, w(1-F_Y)], quadrature diagnostics) of f's margins.
+
+    A constant weight has no C_w: it raises DegenerateSampleError.
+    """
+    (cov_x, err_x, n_x), (cov_y, err_y, n_y) = (
+        _cov_margin_weighted(m, w, spec) for m in margins(f))
+    if cov_x == 0.0 or cov_y == 0.0:
+        raise DegenerateSampleError("C_w undefined: constant weight")
+    return cov_x, cov_y, {"quad_error": err_x + err_y, "quad_nfev": n_x + n_y}
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +429,15 @@ def cw_via_regression(f: BivariateFamily, w: WeightFunction,
 
     Requires the family to have a linear regression of X on Y (everything
     but BVP3).  Marginal covariances come from their closed forms where
-    those exist and from quantile-domain quadrature otherwise, so for the
-    elliptical families this is a numerically independent route.
+    those exist and from tail-variable quadrature otherwise, so for the
+    elliptical families this is a numerically independent route.  detail
+    records the summed quadrature error estimates (quad_error) and
+    evaluations (quad_nfev); closed-form covariances add 0 to both.  A
+    constant weight raises DegenerateSampleError.
     """
     line = regression_line(f)
-    mx, my = margins(f)
-    cov_x = _cov_margin_weighted(mx, w, spec)
-    cov_y = _cov_margin_weighted(my, w, spec)
-    value = line.beta * cov_y / cov_x
+    cov_x, cov_y, diag = _margin_covs(f, w, spec)
     return CorrelationReport(
-        float(value), "regression_route", None, w.describe(),
-        {"alpha": line.alpha, "beta": line.beta},
+        float(line.beta * cov_y / cov_x), "regression_route", None, w.describe(),
+        {"alpha": line.alpha, "beta": line.beta, **diag},
     )

@@ -1,8 +1,9 @@
 """Independent brute-force validators.
 
-Deterministic adaptive quadrature in the quantile domain (which tames the
-Pareto tails: the integrand lives on (0,1) with at worst an integrable
-endpoint singularity), tensor-product quadrature over the transformed unit
+Vectorised tanh-sinh quadrature of marginal covariances in the tail variable
+t = 1 - F(x) (which tames the heavy tails: the integrand lives on (0,1), and
+a substitution t = s^k keeps the part near the tail that doubles cannot
+reach negligible), tensor-product quadrature over the transformed unit
 square for the three-index Pareto family, and seeded Monte Carlo reference
 estimates whose standard errors come from replication spread rather than
 within-run asymptotics (heavy tails make the latter unreliable).
@@ -27,7 +28,7 @@ from .distributions import (
     _draw,
 )
 from .errors import DegenerateSampleError, DomainError, MomentError, QuadratureError
-from .weights import WeightFunction
+from .weights import WeightFunction, reflect
 
 
 @dataclass(frozen=True)
@@ -59,23 +60,81 @@ def _quad01(fn, spec: QuadratureSpec, what: str) -> float:
     return value
 
 
+def _tail_power(tail_index: float) -> float:
+    """The least k >= 1 that leaves the s-integrand no worse than s^(-19/20).
+
+    Qbar(t) ~ t^(-1/alpha) for tail index alpha, so in t = s^k the integrand
+    near s = 0 goes like s^(k (1 - 1/alpha) - 1).  tanh-sinh samples s down
+    to the smallest normal double, 2.2e-308, and the part below it is then
+    under (2.2e-308)^(1/20) * 20 = 1e-14 of the scale.  A larger k squeezes
+    the bulk of t into a thin layer below s = 1 and costs accuracy.
+    """
+    if tail_index <= 1.0:
+        raise MomentError(f"covariance needs a finite mean, got tail index {tail_index}")
+    return max(1.0, 0.05 / (1.0 - 1.0 / tail_index))
+
+
+def _tail_cov(margin, w: WeightFunction, spec: QuadratureSpec):
+    """Cov[X, w(1 - F_X(X))] by tanh-sinh: (value, error estimate, evaluations).
+
+    Integrates the one centred integrand Qbar(t) (w(t) - wbar) over the tail
+    variable t = 1 - F_X(x), with Qbar(t) = Q(1 - t) from the margin's
+    `tail_quantile` in t = s^k (see _tail_power).  Symmetric margins fold
+    the upper half onto the lower, Qbar(1 - t) = -Qbar(t), and integrate
+    Qbar(t) (w(t) + w*(t) - 1) over (0, 1/2], with w*(t) = 1 - w(1 - t)
+    evaluated as reflect(w) so no 1 - t rounds.  A margin with only
+    `quantile(u)` integrates Q(1 - t) (w(t) - wbar) over (0, 1) in t.  The
+    knots of a table weight are break points; the intervals between them
+    go to one vectorised tanhsinh call.  The rule starts at level 3, not
+    2: its error estimate compares the last levels, and three coarse levels
+    that agree by chance end it early (a table weight at Pareto delta =
+    5.15 stopped after 67 points with an estimate of 4e-15 and an error of
+    3e-11).
+    """
+    from scipy.integrate import tanhsinh
+
+    wbar = w.mean_on_unit()
+    kinks = w.knots_t if w.kind == "table" else np.empty(0)
+    if not hasattr(margin, "tail_quantile"):
+        k, end = 1.0, 1.0
+
+        def f(s):
+            return margin.quantile(1.0 - s) * (w(s) - wbar)
+    elif margin.symmetric:
+        k, end = _tail_power(margin.tail_index), 0.5
+        ws = reflect(w)
+        kinks = np.concatenate([kinks, 1.0 - kinks])
+
+        def f(s):
+            t = s ** k
+            return margin.tail_quantile(s, k) * (w(t) + ws(t) - 1.0)
+    else:
+        k, end = _tail_power(margin.tail_index), 1.0
+
+        def f(s):
+            return margin.tail_quantile(s, k) * (w(s ** k) - wbar)
+    t_edges = np.unique(np.concatenate([[0.0, end], kinks[(kinks > 0.0) & (kinks < end)]]))
+    edges = t_edges ** (1.0 / k)
+    res = tanhsinh(f, edges[:-1], edges[1:], minlevel=3, atol=spec.abs_tol,
+                   rtol=spec.rel_tol)
+    value, error = float(res.integral.sum()), float(res.error.sum())
+    if np.any(res.status != 0):
+        raise QuadratureError(
+            f"tanh-sinh covariance quadrature did not converge (status "
+            f"{res.status.tolist()}, {int(res.nfev.sum())} evaluations)",
+            estimate=value, error_estimate=error,
+        )
+    return value, error, int(res.nfev.sum())
+
+
 def quad_cov_margin(margin, w: WeightFunction,
                     spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Cov[X, w(1 - F_X(X))] by quantile-domain quadrature.
+    """Cov[X, w(1 - F_X(X))] by tail-variable tanh-sinh quadrature.
 
-    Uses Cov = int_0^1 Q(u) w(1-u) du - (int Q)(int w(1-u)); `margin` is any
-    object with a `quantile(u)` method. Requires a finite mean.
+    `margin` is a margin of this package or any object with a vectorised
+    `quantile(u)` method.  Requires a finite mean.
     """
-    q = margin.quantile
-    exw = _quad01(lambda u: float(q(u)) * w(1.0 - u), spec, "E[X w(1-F(X))]")
-    ex = _quad01(lambda u: float(q(u)), spec, "E[X]")
-    ew = _quad01(lambda u: w(1.0 - u), spec, "E[w(1-F(X))]")
-    return exw - ex * ew
-
-
-def quad_mean_weight(w: WeightFunction, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """int_0^1 w(u) du by quadrature (independent of WeightFunction.mean_on_unit)."""
-    return _quad01(lambda u: w(u), spec, "int w")
+    return _tail_cov(margin, w, spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +189,7 @@ def quad2_bvp3_moment(f: BVP3, gamma: float,
     The numerator covariance comes from the 2-d integral of
     x (1 - F_Y(y))^gamma against the density terms plus the exact uniform
     moments E[(1-F)^gamma] = 1/(gamma+1) and E[X - mu_X] = sigma_X/(dX*-1);
-    the denominator covariance is 1-d quantile-domain quadrature, so no
+    the denominator covariance is 1-d tail-variable quadrature, so no
     hypergeometric machinery is involved anywhere.
     """
     if not gamma > 0.0:

@@ -145,7 +145,7 @@ def margin_gini_premium(margin, w: WeightFunction,
                         spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Population pi_{G,w}[Y] = E[Y] + Cov[Y, w(1-F_Y)] / E[w(U)] for a margin."""
     ew = w.mean_on_unit()
-    cov = _gini._cov_margin_weighted(margin, w, spec)
+    cov = _gini._cov_margin_weighted(margin, w, spec)[0]
     return margin.mean() + cov / ew
 
 
@@ -159,7 +159,10 @@ def gini_wipm_rhs(f_or_s, w: WeightFunction,
     throughout, method "empirical").  The assembled loading slope
     C_w * Cov_X / Cov_Y equals the regression slope beta; for the normal
     family that is rho sqrt(Var X / Var Y), for the elliptical-t family
-    sigma_xy / sigma_y^2, both recorded in the detail map.
+    sigma_xy / sigma_y^2, both recorded in the detail map.  The family
+    route also records the summed quadrature error estimates (quad_error)
+    and evaluations (quad_nfev) of the margin covariances, and raises
+    DegenerateSampleError for a constant weight.
     """
     if isinstance(f_or_s, PairedSample):
         s = f_or_s
@@ -185,18 +188,17 @@ def gini_wipm_rhs(f_or_s, w: WeightFunction,
         )
     line = regression_line(f)  # also rejects infinite-mean regimes
     mx, my = margins(f)
+    cov_x, cov_y, diag = _gini._margin_covs(f, w, spec)
     try:
         cw = _gini.closed_cw(f, w).value
     except UnsupportedPairError:
-        cw = _gini.cw_via_regression(f, w, spec).value
-    cov_x = _gini._cov_margin_weighted(mx, w, spec)
-    cov_y = _gini._cov_margin_weighted(my, w, spec)
-    pi_y = margin_gini_premium(my, w, spec)
+        cw = line.beta * cov_y / cov_x  # the regression route, as cw_via_regression
+    pi_y = my.mean() + cov_y / w.mean_on_unit()  # margin_gini_premium of Y
     ex, ey = mx.mean(), my.mean()
     slope = cw * cov_x / cov_y
     return PremiumResult(ex + slope * (pi_y - ey), ex, "closed_identity",
                          {"cw": cw, "slope": slope, "pi_y": pi_y,
-                          "regression_beta": line.beta})
+                          "regression_beta": line.beta, **diag})
 
 
 def classical_wipm_rhs(s: PairedSample, v_of_y) -> PremiumResult:

@@ -579,3 +579,18 @@ class TestRegressionRoute:
     def test_bvp3_propagates(self):
         with pytest.raises(NoLinearRegressionError):
             cw_via_regression(BVP3(delta=2.0, delta_x=1.0, delta_y=0.5), W_ID)
+
+    @pytest.mark.parametrize("f", [BVP2(delta=2.1, delta_y=0.5), Normal(rho=0.5)])
+    def test_constant_weight_is_degenerate(self, f):
+        # a zero margin covariance is a typed error, not a ZeroDivisionError
+        with pytest.raises(DegenerateSampleError, match="constant weight"):
+            cw_via_regression(f, WeightFunction.table((0, 1), (0.5, 0.5)))
+
+    def test_detail_records_quadrature_diagnostics(self):
+        # closed-form Pareto covariances add nothing; quadrature ones add both
+        closed = cw_via_regression(BVP2(delta=2.1, delta_y=0.5254), W_BETA).detail
+        assert closed["quad_error"] == 0.0 and closed["quad_nfev"] == 0
+        table = cw_via_regression(BVP2(delta=2.1, delta_y=0.5254), W_TABLE).detail
+        normal = cw_via_regression(Normal(rho=0.5), W_BETA).detail
+        for d in (table, normal):
+            assert 0.0 <= d["quad_error"] < 1e-8 and d["quad_nfev"] > 0

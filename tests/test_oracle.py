@@ -2,20 +2,34 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
-from ginicorr.distributions import BVP1, BVP2, BVP3, Normal, ParetoIIMargin
-from ginicorr.errors import DomainError, MomentError
+from ginicorr.distributions import (
+    BVP1,
+    BVP2,
+    BVP3,
+    EllipticalT,
+    Normal,
+    ParetoIIMargin,
+    StudentTMargin,
+    margins,
+)
+from ginicorr.errors import DomainError, MomentError, QuadratureError
+from ginicorr.gini import cov_x_weighted, cw_via_regression, lambda_w_margin
 from ginicorr.oracle import (
     QuadratureSpec,
     bvp3_density_integral,
     mc_reference,
     quad2_bvp3_moment,
     quad_cov_margin,
-    quad_mean_weight,
 )
-from ginicorr.weights import WeightFunction
+from ginicorr.weights import WeightFunction, reflect
+from ginicorr.wipm import gini_wipm_rhs
 
 
 class UniformMargin:
@@ -50,8 +64,169 @@ class TestQuadCovMargin:
         b = quad_cov_margin(ParetoIIMargin(10.0, 1.0, 2.5), w)
         assert a == pytest.approx(b, abs=1e-8)
 
-    def test_mean_weight(self):
-        assert quad_mean_weight(WeightFunction.power(3.0)) == pytest.approx(0.25, abs=1e-10)
+
+# ---------------------------------------------------------------------------
+# independent references for the tail-variable quadrature
+# ---------------------------------------------------------------------------
+
+def _mp_weight(w):
+    """w as a function of an mpmath number in [0, 1]."""
+    if w.kind == "identity":
+        return lambda u: u
+    if w.kind == "power":
+        return lambda u: u ** w.gamma
+    if w.kind == "beta_cdf":
+        return lambda u: mp.betainc(w.a, w.b, 0, u, regularized=True)
+    ts, vs = [float(t) for t in w.knots_t], [float(v) for v in w.knots_w]
+
+    def table(u):
+        if u <= ts[0]:
+            return mp.mpf(vs[0])
+        if u >= ts[-1]:
+            return mp.mpf(vs[-1])
+        i = max(j for j in range(len(ts) - 1) if ts[j] <= u)
+        return vs[i] + (vs[i + 1] - vs[i]) * (u - ts[i]) / (ts[i + 1] - ts[i])
+
+    return table
+
+
+def _pareto_table_cov(delta, w):
+    """Cov[X, w(1 - F)] of the unit Pareto II margin for a table weight, exactly.
+
+    int_0^1 (t^(-p) - 1)(w(t) - wbar) dt = int t^(-p) w(t) dt - wbar/(1 - p)
+    with p = 1/delta, summed piece by piece of the linear interpolant.
+    """
+    with mp.workdps(30):
+        p = 1 / mp.mpf(delta)
+        ts = [mp.mpf(0), *(mp.mpf(float(t)) for t in w.knots_t), mp.mpf(1)]
+        vs = [float(w.knots_w[0]), *(float(v) for v in w.knots_w), float(w.knots_w[-1])]
+        total = wbar = mp.mpf(0)
+        for a, b, va, vb in zip(ts[:-1], ts[1:], vs[:-1], vs[1:]):
+            if b == a:
+                continue
+            slope = (vb - va) / (b - a)
+            icpt = va - slope * a
+            total += (icpt * (b ** (1 - p) - a ** (1 - p)) / (1 - p)
+                      + slope * (b ** (2 - p) - a ** (2 - p)) / (2 - p))
+            wbar += (va + vb) * (b - a) / 2
+        return float(total - wbar / (1 - p))
+
+
+def _pareto_cov_reference(delta, w):
+    """Closed form (cov_x_weighted) or, for a table, the exact piecewise sum."""
+    if w.kind == "table":
+        return _pareto_table_cov(delta, w)
+    return cov_x_weighted(ParetoIIMargin(0.0, 1.0, delta), w)
+
+
+def _student_t_cov_mpmath(nu, w):
+    """Cov[T, w(1 - F(T))] of the standard Student t by mpmath, x = e^y.
+
+    By symmetry Cov = int_0^inf x f(x) (w(S) - w(1 - S)) dx with S = P[T > x].
+    The substitution x = e^y turns the x^(-nu) decay into e^((1-nu) y),
+    which mp.quad follows out to y = 1000; table knots are break points.
+    """
+    with mp.workdps(20):
+        nu_ = mp.mpf(nu)
+        wf = _mp_weight(w)
+        dens = mp.gamma((nu_ + 1) / 2) / (mp.sqrt(nu_ * mp.pi) * mp.gamma(nu_ / 2))
+
+        def integrand(y):
+            x = mp.exp(y)
+            u = mp.betainc(nu_ / 2, mp.mpf(1) / 2, 0, nu_ / (nu_ + x * x),
+                           regularized=True) / 2
+            return x * x * dens * (1 + x * x / nu_) ** (-(nu_ + 1) / 2) * (wf(u) - wf(1 - u))
+
+        cuts = [-5.0, 0.0, 5.0, 20.0, 60.0, 200.0, 1000.0]
+        if w.kind == "table":
+            for t in w.knots_t:
+                t = min(t, 1.0 - t)
+                if 0.0 < t < 0.5:
+                    cuts.append(math.log(-special.stdtrit(nu, t)))
+        return float(mp.quad(integrand, [-mp.inf, *sorted(cuts), mp.inf]))
+
+
+@st.composite
+def _weights(draw):
+    kind = draw(st.sampled_from(["identity", "power", "beta_cdf", "table"]))
+    if kind == "identity":
+        return WeightFunction.identity()
+    if kind == "power":
+        return WeightFunction.power(draw(st.floats(0.05, 5.0)))
+    if kind == "beta_cdf":
+        return WeightFunction.beta_cdf(draw(st.floats(0.3, 5.0)), draw(st.floats(0.3, 5.0)))
+    # knots 1e-6 apart at least: reflect maps knots closer than an ulp of 1
+    # onto one value, and the reflected table is then refused
+    ts = sorted({round(t, 6) for t in draw(st.lists(st.floats(0.01, 0.99),
+                                                    min_size=1, max_size=4))})
+    vs = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=len(ts), max_size=len(ts))))
+    return WeightFunction.table([0.0, *ts, 1.0], [0.0, *vs, 1.0])
+
+
+class TestTailQuadrature:
+    """quad_cov_margin and lambda_w_margin against independent values to 1e-9."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(delta=st.floats(1.01, 10.0), w=_weights())
+    def test_pareto_sweep(self, delta, w):
+        m = ParetoIIMargin(0.0, 1.0, delta)
+        want = _pareto_cov_reference(delta, w)
+        want_star = _pareto_cov_reference(delta, reflect(w))
+        assert quad_cov_margin(m, w) == pytest.approx(want, rel=1e-9)
+        assert lambda_w_margin(m, w) == pytest.approx(want_star / want, rel=1e-9)
+
+    @settings(max_examples=8, deadline=None)
+    @given(nu=st.floats(1.05, 10.0), w=_weights())
+    def test_student_t_sweep(self, nu, w):
+        m = StudentTMargin(0.0, 1.0, nu)
+        assert quad_cov_margin(m, w) == pytest.approx(_student_t_cov_mpmath(nu, w),
+                                                      rel=1e-9)
+        assert lambda_w_margin(m, w) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("nu,want", [(1.2, -0.8654991183347271),
+                                         (1.1, -2.040314060234968),
+                                         (1.05, -4.793689926111523)])
+    def test_student_t_heavy_tail_values(self, nu, want):
+        # mpmath values of _student_t_cov_mpmath(nu, power(0.1)) at 30 digits
+        got = quad_cov_margin(StudentTMargin(0.0, 1.0, nu), WeightFunction.power(0.1))
+        assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("nu,want", [(1.2, -0.4760245150840999),
+                                         (1.1, -1.122172733129232),
+                                         (1.05, -2.636529459361338)])
+    def test_elliptical_t_heavy_tail_routes(self, nu, want):
+        # the heavy-tail regime: finite mean, nu near 1
+        f, w = EllipticalT(sigma_xy=0.5, nu=nu), WeightFunction.power(0.1)
+        assert cw_via_regression(f, w).value == pytest.approx(0.5, rel=1e-12)
+        assert lambda_w_margin(margins(f)[0], w) == pytest.approx(1.0, abs=1e-9)
+        # E[X] + 0.5 (pi_Y - E[Y]) = 0.5 Cov / E[w] = 0.5 * 1.1 * Cov
+        assert gini_wipm_rhs(f, w).premium == pytest.approx(want, rel=1e-9)
+
+    def test_table_knots_inside_the_unit_interval(self):
+        # the knots are break points; without them tanh-sinh stalls on the kinks
+        w = WeightFunction.table([0.0, 0.2, 0.45, 0.8, 1.0], [0.0, 0.05, 0.5, 0.6, 1.0])
+        for delta in (1.02, 1.5, 4.0):
+            got = quad_cov_margin(ParetoIIMargin(0.0, 1.0, delta), w)
+            assert got == pytest.approx(_pareto_table_cov(delta, w), rel=1e-11)
+        got = quad_cov_margin(StudentTMargin(0.0, 1.0, 1.5), w)
+        assert got == pytest.approx(_student_t_cov_mpmath(1.5, w), rel=1e-10)
+
+    def test_stalled_integral_raises_with_its_estimate(self, monkeypatch):
+        import functools
+
+        import scipy.integrate
+
+        # three levels leave this integrand's error estimate near 2e-9
+        stalled = functools.partial(scipy.integrate.tanhsinh, maxlevel=2)
+        monkeypatch.setattr(scipy.integrate, "tanhsinh", stalled)
+        with pytest.raises(QuadratureError) as info:
+            quad_cov_margin(ParetoIIMargin(0.0, 1.0, 1.5), WeightFunction.beta_cdf(3.0, 0.5),
+                            QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14))
+        assert info.value.estimate < 0.0 and info.value.error_estimate > 0.0
+
+    def test_infinite_mean_raises_moment_error(self):
+        with pytest.raises(MomentError):
+            quad_cov_margin(ParetoIIMargin(0.0, 1.0, 1.0), WeightFunction.identity())
 
 
 class TestBvp3Quadrature:

@@ -185,6 +185,17 @@ class TestGiniWipmRhs:
         with pytest.raises(NoLinearRegressionError):
             gini_wipm_rhs(BVP3(delta=2.0, delta_x=1.0, delta_y=0.5), W_ID)
 
+    def test_constant_weight_is_degenerate(self):
+        # a zero margin covariance is a typed error, not a ZeroDivisionError
+        with pytest.raises(DegenerateSampleError, match="constant weight"):
+            gini_wipm_rhs(Normal(rho=0.5), WeightFunction.table((0, 1), (0.5, 0.5)))
+
+    def test_family_detail_records_quadrature_diagnostics(self):
+        closed = gini_wipm_rhs(BVP1(delta=3.0), W_BETA).detail
+        assert closed["quad_error"] == 0.0 and closed["quad_nfev"] == 0
+        normal = gini_wipm_rhs(Normal(rho=0.5), W_BETA).detail
+        assert 0.0 <= normal["quad_error"] < 1e-8 and normal["quad_nfev"] > 0
+
 
 class TestClassicalWipm:
     def test_independent_reduces_to_mean(self):
