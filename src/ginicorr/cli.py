@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__, gini, oracle, verify, wipm
+from ._csvrows import read_numeric_csv
 from .distributions import (
     BVP1,
     BVP2,
@@ -140,22 +141,14 @@ def _add_global_flags(p: argparse.ArgumentParser, default_format="csv"):
 
 
 def load_pairs_csv(path) -> PairedSample:
-    xs, ys = [], []
     try:
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                try:
-                    xs.append(float(row[0]))
-                    ys.append(float(row[1]))
-                except (IndexError, ValueError):
-                    continue  # header
+        _, pairs = read_numeric_csv(path)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    if len(xs) < 3:
+    if pairs.shape[0] < 3 or pairs.shape[1] < 2:
         raise CliError(f"no (x, y) rows found in {path}")
-    return PairedSample(np.array(xs), np.array(ys), {"source": str(path)})
+    xs, ys = np.ascontiguousarray(pairs[:, :2].T)
+    return PairedSample(xs, ys, {"source": str(path)})
 
 
 # ---------------------------------------------------------------------------
@@ -176,24 +169,25 @@ def _meta(args, **extra) -> dict:
     return meta
 
 
-def _write_table(args, meta: dict, header, rows):
+def _write_table(args, meta: dict, header, rows, key="results", **totals):
     """Emit rows of raw cells (floats, strings, None) as CSV or JSON.
 
     Floats are printed (or round-tripped, for JSON) at 12 significant
-    digits; None becomes an empty CSV cell / JSON null.
+    digits; None becomes an empty CSV cell / JSON null.  JSON lists rows
+    under `key` and adds `totals` at the top level; CSV omits the totals.
     """
     if args.format == "json":
         def enc(v):
             return float(_fmt(v)) if isinstance(v, float) else v
 
         payload = {"meta": meta,
-                   "results": [dict(zip(header, (enc(c) for c in row)))
-                               for row in rows]}
+                   key: [dict(zip(header, (enc(c) for c in row))) for row in rows],
+                   **{name: enc(v) for name, v in totals.items()}}
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
         return
     buf = io.StringIO()
-    for key in sorted(meta):
-        buf.write(f"# {key}={meta[key]}\n")
+    for k in sorted(meta):
+        buf.write(f"# {k}={meta[k]}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([_cell(c) for c in row] for row in rows)
@@ -344,39 +338,24 @@ def cmd_price(args) -> int:
     w = parse_weight(args.weight)
     meta = _meta(args, portfolio=str(args.portfolio), weight=w.describe(),
                  orientation=args.orientation)
+    header = ["column", "premium", "base", "loading"]
+    agg = portfolio.aggregate
     if args.allocate:
         allocs = wipm.allocate(portfolio, w, orientation=args.orientation)
-        agg = portfolio.aggregate
         total = wipm.gini_premium(PairedSample(agg, agg), w,
                                   orientation=args.orientation).premium
-        results = [
-            {"column": a.detail["column"], "premium": float(_fmt(a.premium)),
-             "base": float(_fmt(a.base)), "loading": float(_fmt(a.loading))}
-            for a in allocs
-        ]
-        payload = {
-            "meta": meta,
-            "allocations": results,
-            "aggregate_premium": float(_fmt(total)),
-            "allocation_sum": float(_fmt(sum(a.premium for a in allocs))),
-        }
+        rows = [[a.detail["column"], a.premium, a.base, a.loading] for a in allocs]
+        _write_table(args, meta, header, rows, key="allocations",
+                     aggregate_premium=total,
+                     allocation_sum=sum(a.premium for a in allocs))
     else:
-        agg = portfolio.aggregate
-        results = []
+        rows = []
         for j, name in enumerate(portfolio.names):
             res = wipm.gini_premium(
                 PairedSample(portfolio.columns[:, j], agg), w,
                 orientation=args.orientation)
-            results.append({"column": name, "premium": float(_fmt(res.premium)),
-                            "base": float(_fmt(res.base)),
-                            "loading": float(_fmt(res.loading))})
-        payload = {"meta": meta, "premiums": results}
-    if args.format == "csv":
-        rows = [[r["column"], r["premium"], r["base"], r["loading"]]
-                for r in payload.get("allocations", payload.get("premiums"))]
-        _write_table(args, meta, ["column", "premium", "base", "loading"], rows)
-    else:
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+            rows.append([name, res.premium, res.base, res.loading])
+        _write_table(args, meta, header, rows, key="premiums")
     return 0
 
 

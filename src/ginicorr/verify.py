@@ -119,11 +119,6 @@ def _check_sampler_ddf():
     return worst < 4.0, f"max |empirical - ddf| = {worst:.2f} binomial SEs"
 
 
-def _check_bvp3_density_norm():
-    total = oracle.bvp3_density_integral(BVP3(delta=1.5, delta_x=1.5, delta_y=1.0))
-    return abs(total - 1.0) < 1e-6, f"density integral = {total:.8f}"
-
-
 # ---------------------------------------------------------------------------
 # gini
 # ---------------------------------------------------------------------------
@@ -151,6 +146,15 @@ def _check_triangle_bvp2():
         for w in (WeightFunction.power(1.0), WeightFunction.beta_cdf(2.0, 2.0))
     )
     return worst < 1e-9, f"max |closed - regression| = {worst:.3e}"
+
+
+def _check_closed_vs_oracle_bvp3():
+    f = BVP3(delta=1.5, delta_x=1.5, delta_y=1.0)
+    worst = _max_abs(
+        gini.closed_cw(f, WeightFunction.power(g)).value - oracle.quad2_bvp3_moment(f, g)
+        for g in (0.5, 1.0, 2.0)
+    )
+    return worst < 1e-9, f"max |closed - Hoeffding oracle| = {worst:.3e}"
 
 
 def _check_cw_self():
@@ -246,12 +250,12 @@ SUITES = {
         ("regression_examples", _check_regression_examples),
         ("pearson_examples", _check_pearson_examples),
         ("sampler_vs_ddf", _check_sampler_ddf),
-        ("bvp3_density_normalization", _check_bvp3_density_norm),
     ],
     "gini": [
         ("closed_bvp1_is_1_over_delta", _check_closed_bvp1),
         ("closed_bvp2_gamma1", _check_closed_bvp2_value),
         ("closed_vs_regression_bvp2", _check_triangle_bvp2),
+        ("closed_vs_oracle_bvp3", _check_closed_vs_oracle_bvp3),
         ("exact_self_and_reflection", _check_cw_self),
         ("cov_xx_vs_quadrature", _check_cov_vs_quadrature),
         ("normalization_bounds", _check_bounds_small),

@@ -12,13 +12,13 @@ the domain test on t.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csvrows import read_numeric_csv
 from .errors import DomainError
-from .specfun import reg_inc_beta
+from .specfun import ln_beta, reg_inc_beta
 
 _TABLE_GRID_POINTS = 1000
 
@@ -94,19 +94,10 @@ class WeightFunction:
     @classmethod
     def from_csv(cls, path) -> "WeightFunction":
         """Load a table weight from a two-column CSV of (t, w(t)) knots."""
-        ts, ws = [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                try:
-                    ts.append(float(row[0]))
-                    ws.append(float(row[1]))
-                except (IndexError, ValueError):
-                    continue  # header row
-        if len(ts) < 2:
+        _, knots = read_numeric_csv(path)
+        if knots.shape[0] < 2 or knots.shape[1] < 2:
             raise DomainError(f"no (t, w) knot rows found in {path}")
-        return cls.table(ts, ws)
+        return cls.table(knots[:, 0], knots[:, 1])
 
     # --- evaluation -------------------------------------------------------
     def __call__(self, t):
@@ -123,6 +114,21 @@ class WeightFunction:
         else:
             out = np.interp(arr, self.knots_t, self.knots_w)
         return float(out) if np.ndim(t) == 0 else np.asarray(out)
+
+    def at_power(self, s: np.ndarray, k: float) -> np.ndarray:
+        """w(s^k) for s in (0, 1], without the underflow of s^k.
+
+        Where s^k underflows, t^gamma and beta c.d.f.s with a small a are
+        still far from 0 (t^0.01 = 8e-4 at 1e-308); there w is its leading
+        term t^p / c, exact to relative O(t), formed from k log s.
+        """
+        t = s ** k
+        out, low = self(t), t < np.finfo(float).tiny
+        if self.kind in ("power", "beta_cdf") and low.any():
+            p, log_c = ((self.gamma, 0.0) if self.kind == "power"
+                        else (self.a, np.log(self.a) + ln_beta(self.a, self.b)))
+            out = np.where(low, np.exp(p * k * np.log(s) - log_c), out)
+        return out
 
     def mean_on_unit(self) -> float:
         """Integral of w over [0, 1].
@@ -160,7 +166,9 @@ def reflect(w: WeightFunction) -> WeightFunction:
     Each kind maps to a closed-form counterpart: the identity is a fixed
     point, t^gamma reflects to the Beta(1, gamma) c.d.f., the beta c.d.f.
     swaps its parameters, and tables reflect their knots (linear
-    interpolation commutes with the point reflection exactly).
+    interpolation commutes with the point reflection exactly).  Knots closer
+    than the spacing of doubles below 1 land on one value under 1 - t; the
+    lower one then moves down by one ulp, so a step in w stays a step.
     """
     if w.kind == "identity":
         return WeightFunction.identity()
@@ -168,4 +176,7 @@ def reflect(w: WeightFunction) -> WeightFunction:
         return WeightFunction.beta_cdf(1.0, w.gamma)
     if w.kind == "beta_cdf":
         return WeightFunction.beta_cdf(w.b, w.a)
-    return WeightFunction.table(1.0 - w.knots_t[::-1], 1.0 - w.knots_w[::-1])
+    t = 1.0 - w.knots_t[::-1]
+    for i in range(t.size - 2, -1, -1):
+        t[i] = min(t[i], np.nextafter(t[i + 1], 0.0))
+    return WeightFunction.table(t, 1.0 - w.knots_w[::-1])

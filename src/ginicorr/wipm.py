@@ -21,12 +21,12 @@ and flips the loading sign.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gini as _gini
+from ._csvrows import read_numeric_csv
 from .distributions import BVP3, PairedSample, margins, regression_line
 from .errors import (
     DegenerateSampleError,
@@ -80,13 +80,11 @@ class Portfolio:
     @classmethod
     def from_csv(cls, path) -> "Portfolio":
         """Load from a CSV with one named column per risk."""
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh)
-                    if r and not r[0].lstrip().startswith("#")]
-        if len(rows) < 2:
+        names, data = read_numeric_csv(path)
+        if names is None:
+            raise DomainError(f"{path} needs a header row of column names")
+        if not data.size:
             raise DomainError(f"no data rows in {path}")
-        names = [c.strip() for c in rows[0]]
-        data = np.array([[float(c) for c in r] for r in rows[1:]])
         return cls(tuple(names), data)
 
 

@@ -191,7 +191,7 @@ def test_criterion_7_bvp3_formula_vs_oracle():
     probe = BVP3(delta=1.5, delta_x=1.5, delta_y=1.0)
     assert abs(closed_cw(probe, WeightFunction.identity()).value
                - quad2_bvp3_moment(probe, 1.0)) < 1e-4
-    spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=500)
+    spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8)
     worst = 0.0
     for d in (1.2, 1.8, 2.4):                 # dX* = 3, dY* = 2.5
         for g in (0.5, 1.0, 2.0):

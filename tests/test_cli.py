@@ -74,6 +74,24 @@ class TestCorr:
         assert rows["empirical"][2] != "" and rows["oracle"][2] != ""
         assert rows["closed_form"][2] == "" and rows["regression_route"][2] == ""
 
+    def test_data_row_that_does_not_parse_exits_2(self, capsys, tmp_path):
+        # a missing value is an error, not a row to drop (n = 5, not 4)
+        path = tmp_path / "pairs.csv"
+        path.write_text("x,y\n1,2\n2,1\nNA,3\n4,3\n3,5\n")
+        code, out, err = run_cli(capsys, "corr", "--data", str(path),
+                                 "--method", "empirical", "--bootstrap", "0")
+        assert code == 2 and out == ""
+        assert f"{path}, line 4" in err and "NA" in err
+
+    def test_row_with_a_bad_y_names_its_line(self, capsys, tmp_path):
+        # a good x and a bad y must not misalign the two columns
+        path = tmp_path / "pairs.csv"
+        path.write_text("# comment\n1,2\n2,1\n3,oops\n4,3\n")
+        code, _, err = run_cli(capsys, "corr", "--data", str(path),
+                               "--method", "empirical", "--bootstrap", "0")
+        assert code == 2
+        assert f"{path}, line 4" in err and "equal-length" not in err
+
     def test_unsupported_pair_exits_2_with_hint(self, capsys, tmp_path):
         t = tmp_path / "w.csv"
         t.write_text("0.0,0.0\n1.0,1.0\n")
@@ -224,6 +242,20 @@ class TestPrice:
         assert len(payload["premiums"]) == 2
         assert payload["meta"]["orientation"] == "survival"
 
+    @pytest.mark.parametrize("allocate", [[], ["--allocate"]])
+    def test_csv_and_json_carry_the_same_rows(self, capsys, portfolio_csv, allocate):
+        args = ("price", "--portfolio", str(portfolio_csv), "--weight", "power:1",
+                *allocate)
+        _, out_json, _ = run_cli(capsys, *args)
+        _, out_csv, _ = run_cli(capsys, *args, "--format", "csv")
+        payload = json.loads(out_json)
+        rows = payload["allocations" if allocate else "premiums"]
+        lines = [l for l in out_csv.splitlines() if not l.startswith("#")]
+        assert lines[0] == "column,premium,base,loading"
+        assert [l.split(",") for l in lines[1:]] == [
+            [r["column"], *(format(r[k], ".12g") for k in ("premium", "base", "loading"))]
+            for r in rows]
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "price", "--portfolio", "/nope.csv")
         assert code == 2
@@ -276,11 +308,13 @@ class TestParserHygiene:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs more to import than the package; only the normal
-    # and Student t margins need it, and they import it on first use
+    # scipy.stats and scipy.integrate cost more to import than the package;
+    # only the normal and Student t margins need the first and the
+    # quadrature the second, and they import them on first use
     src = str(Path(ginicorr.gini.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, ginicorr.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, ginicorr.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"

@@ -1,11 +1,12 @@
 """Oracle self-consistency: the validators must be right before anything else."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -15,15 +16,15 @@ from ginicorr.distributions import (
     BVP3,
     EllipticalT,
     Normal,
+    NormalMargin,
     ParetoIIMargin,
     StudentTMargin,
     margins,
 )
 from ginicorr.errors import DomainError, MomentError, QuadratureError
-from ginicorr.gini import cov_x_weighted, cw_via_regression, lambda_w_margin
+from ginicorr.gini import closed_cw, cov_x_weighted, cw_via_regression, lambda_w_margin
 from ginicorr.oracle import (
     QuadratureSpec,
-    bvp3_density_integral,
     mc_reference,
     quad2_bvp3_moment,
     quad_cov_margin,
@@ -155,10 +156,7 @@ def _weights(draw):
         return WeightFunction.power(draw(st.floats(0.05, 5.0)))
     if kind == "beta_cdf":
         return WeightFunction.beta_cdf(draw(st.floats(0.3, 5.0)), draw(st.floats(0.3, 5.0)))
-    # knots 1e-6 apart at least: reflect maps knots closer than an ulp of 1
-    # onto one value, and the reflected table is then refused
-    ts = sorted({round(t, 6) for t in draw(st.lists(st.floats(0.01, 0.99),
-                                                    min_size=1, max_size=4))})
+    ts = sorted(set(draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4))))
     vs = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=len(ts), max_size=len(ts))))
     return WeightFunction.table([0.0, *ts, 1.0], [0.0, *vs, 1.0])
 
@@ -211,6 +209,26 @@ class TestTailQuadrature:
         got = quad_cov_margin(StudentTMargin(0.0, 1.0, 1.5), w)
         assert got == pytest.approx(_student_t_cov_mpmath(1.5, w), rel=1e-10)
 
+    @pytest.mark.filterwarnings("error")
+    def test_knots_one_ulp_apart(self):
+        # reflect separates knots that 1 - t maps onto one value, and the
+        # quadrature skips the interval with no double inside it
+        w = WeightFunction.table([0.0, 0.01, np.nextafter(0.01, 1.0), 1.0],
+                                 [0.0, 0.0, 0.0, 1.0])
+        same = WeightFunction.table([0.0, 0.01, 1.0], [0.0, 0.0, 1.0])
+        for m in (NormalMargin(0.0, 1.0), ParetoIIMargin(0.0, 1.0, 2.0)):
+            assert quad_cov_margin(m, w) == pytest.approx(quad_cov_margin(m, same),
+                                                          rel=1e-12)
+            assert lambda_w_margin(m, w) == pytest.approx(lambda_w_margin(m, same),
+                                                          rel=1e-12)
+        # a step: its reflection is a step too, and lambda_w = 1 on a symmetric margin
+        step = WeightFunction.table([0.0, 0.25, np.nextafter(0.25, 1.0), 1.0],
+                                    [0.0, 0.0, 1.0, 1.0])
+        for m in (NormalMargin(0.0, 1.0), StudentTMargin(0.0, 1.0, 2.0)):
+            assert lambda_w_margin(m, step) == pytest.approx(1.0, abs=1e-12)
+        assert quad_cov_margin(ParetoIIMargin(0.0, 1.0, 2.0), step) == pytest.approx(
+            _pareto_table_cov(2.0, step), rel=1e-12)
+
     def test_stalled_integral_raises_with_its_estimate(self, monkeypatch):
         import functools
 
@@ -224,16 +242,65 @@ class TestTailQuadrature:
                             QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14))
         assert info.value.estimate < 0.0 and info.value.error_estimate > 0.0
 
+    @pytest.mark.parametrize("delta", [1.001, 1.01, 1.5])
+    @pytest.mark.parametrize("w", [WeightFunction.power(0.005), WeightFunction.power(0.01),
+                                   WeightFunction.beta_cdf(0.01, 2.0)])
+    def test_small_weight_exponent_where_the_tail_variable_underflows(self, delta, w):
+        # t = s^k underflows while t^0.01 is still ~1e-3: w is formed from log s
+        m = ParetoIIMargin(0.0, 1.0, delta)
+        assert quad_cov_margin(m, w) == pytest.approx(cov_x_weighted(m, w), rel=1e-12)
+
     def test_infinite_mean_raises_moment_error(self):
         with pytest.raises(MomentError):
             quad_cov_margin(ParetoIIMargin(0.0, 1.0, 1.0), WeightFunction.identity())
 
 
+# the probe, the bench points and the heavy-tail corners (h = 0.13, 0.25, 0.35)
+BVP3_POINTS = [((1.5, 1.5, 1.0), 1.0), ((1.5, 1.5, 1.0), 2.0), ((1.2, 0.3, 0.2), 0.5),
+               ((0.8, 0.4, 0.2), 0.1), ((1.0, 0.02, 0.01), 0.1), ((0.9, 0.2, 0.1), 0.05),
+               ((0.9, 0.3, 0.1), 0.05)]
+
+
 class TestBvp3Quadrature:
-    def test_density_normalizes(self):
-        for f in (BVP3(delta=1.5, delta_x=1.5, delta_y=1.0),
-                  BVP3(delta=2.0, delta_x=1.0, delta_y=0.5)):
-            assert bvp3_density_integral(f) == pytest.approx(1.0, abs=1e-6)
+    """The Hoeffding-identity oracle against the four-3F2 closed form to 1e-9."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params,gamma", BVP3_POINTS)
+    def test_matches_closed_form(self, params, gamma):
+        d, dx, dy = params
+        f = BVP3(delta=d, delta_x=dx, delta_y=dy)
+        want = closed_cw(f, WeightFunction.power(gamma)).value
+        assert quad2_bvp3_moment(f, gamma) == pytest.approx(want, abs=1e-9)
+
+    @settings(max_examples=20, deadline=None)
+    @given(delta=st.floats(0.05, 5.0), dx=st.floats(0.01, 5.0), dy=st.floats(0.01, 5.0),
+           gamma=st.floats(0.01, 10.0))
+    def test_domain_sweep(self, delta, dx, dy, gamma):
+        assume(delta + dx > 1.0)
+        f = BVP3(delta=delta, delta_x=dx, delta_y=dy)
+        want = closed_cw(f, WeightFunction.power(gamma)).value
+        # warnings are errors inside the body only: under a filterwarnings
+        # mark a failing example ends in a pytest INTERNALERROR instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quad2_bvp3_moment(f, gamma)
+        assert got == pytest.approx(want, abs=1e-9)
+
+    def test_stalled_integral_raises_with_its_estimate(self, monkeypatch):
+        import functools
+
+        import scipy.integrate
+
+        import ginicorr.oracle
+
+        # the 2-d integral must raise, not the denominator's 1-d one
+        monkeypatch.setattr(ginicorr.oracle, "quad_cov_margin", lambda *args: -1.0)
+        stalled = functools.partial(scipy.integrate.tanhsinh, maxlevel=2)
+        monkeypatch.setattr(scipy.integrate, "tanhsinh", stalled)
+        with pytest.raises(QuadratureError, match="Hoeffding") as info:
+            quad2_bvp3_moment(BVP3(delta=1.0, delta_x=0.02, delta_y=0.01), 0.1,
+                              QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14))
+        assert info.value.estimate < 0.0 and info.value.error_estimate > 0.0
 
     def test_bvp1_reduction(self):
         # delta_x = delta_y -> 0: oracle Gamma_gamma -> 1/delta
@@ -314,10 +381,7 @@ class TestQuadratureSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
         assert spec.abs_tol == 1e-10 and spec.rel_tol == 1e-8
-        assert spec.max_subdivisions == 10_000
 
     def test_validation(self):
         with pytest.raises(DomainError):
             QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_subdivisions=0)

@@ -138,6 +138,21 @@ class TestCsv:
         assert w.kind == "table"
         assert w(0.2) == pytest.approx(0.15)
 
+    def test_comments_blank_lines_and_one_header(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("# knots\n\nt,w\n0.0,0.0\n  \n0.4,0.3\n# end\n1.0,1.0\n")
+        w = WeightFunction.from_csv(path)
+        assert list(w.knots_t) == [0.0, 0.4, 1.0]
+
+    @pytest.mark.parametrize("text,line", [("t,w\n0.0,0.0\nt,w\n1.0,1.0\n", 3),
+                                           ("0.0,0.0\n0.5\n1.0,1.0\n", 2),
+                                           ("0.0,0.0\n0.5,x\n1.0,1.0\n", 2)])
+    def test_rejects_a_row_that_does_not_parse(self, tmp_path, text, line):
+        path = tmp_path / "w.csv"
+        path.write_text(text)
+        with pytest.raises(DomainError, match=f"line {line}"):
+            WeightFunction.from_csv(path)
+
     def test_rejects_non_monotone(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("0.0,0.5\n1.0,0.2\n")

@@ -272,6 +272,15 @@ class TestPortfolio:
         assert p.names == ("fire", "flood")
         assert np.array_equal(p.aggregate, np.array([3.0, 7.0, 11.0]))
 
+    def test_from_csv_rejects_a_bad_row_and_a_missing_header(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("fire,flood\n1.0,2.0\n3.0,n/a\n5.0,6.0\n")
+        with pytest.raises(DomainError, match="line 3"):
+            Portfolio.from_csv(path)
+        path.write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+        with pytest.raises(DomainError, match="header"):
+            Portfolio.from_csv(path)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             Portfolio(("a",), np.array([[1.0], [np.inf], [2.0]]))
