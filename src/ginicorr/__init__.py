@@ -30,7 +30,6 @@ from .distributions import (
     pearson_closed_form,
     regression_line,
     sample,
-    sample_chunked,
 )
 from .errors import (
     ConvergenceError,
@@ -55,7 +54,7 @@ from .gini import (
     lambda_w_margin,
 )
 from .oracle import QuadratureSpec, mc_reference, quad2_bvp3_moment, quad_cov_margin
-from .specfun import HypergeometricSpec, hyp_pfq, ln_beta, pochhammer_log, reg_inc_beta
+from .specfun import HypergeometricSpec, hyp_pfq, ln_beta, reg_inc_beta
 from .weights import WeightFunction, reflect
 from .wipm import (
     Portfolio,

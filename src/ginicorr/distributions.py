@@ -25,9 +25,9 @@ from typing import Union
 
 import numpy as np
 
-# scipy.stats and scipy.special are imported inside the normal and Student t
-# methods and joint_ddf, not here: scipy.stats takes longer to import than
-# the whole package.
+# scipy.special is imported inside the normal and Student t tail quantiles
+# and scipy.stats inside joint_ddf, not here: scipy.stats takes longer to
+# import than the whole package.
 from .errors import DomainError, MomentError, UnsupportedPairError, NoLinearRegressionError
 
 # Deterministic evaluation of the Student-t joint cdf (its Genz integrator
@@ -93,9 +93,6 @@ class ParetoIIMargin:
         out = (1.0 + z) ** (-self.delta)
         return float(out) if np.ndim(x) == 0 else out
 
-    def cdf(self, x):
-        return 1.0 - self.ddf(x)
-
     def quantile(self, u):
         """Inverse c.d.f.: mu + sigma ((1-u)^(-1/delta) - 1) for u in [0, 1)."""
         arr = np.asarray(u, dtype=float)
@@ -133,18 +130,6 @@ class NormalMargin:
         if not self.sigma > 0.0:
             raise DomainError(f"sigma must be > 0, got {self.sigma}")
 
-    def ddf(self, x):
-        from scipy import stats as sps
-        return sps.norm.sf(x, loc=self.mu, scale=self.sigma)
-
-    def cdf(self, x):
-        from scipy import stats as sps
-        return sps.norm.cdf(x, loc=self.mu, scale=self.sigma)
-
-    def quantile(self, u):
-        from scipy import stats as sps
-        return sps.norm.ppf(u, loc=self.mu, scale=self.sigma)
-
     def mean(self) -> float:
         return self.mu
 
@@ -171,18 +156,6 @@ class StudentTMargin:
             raise DomainError(f"sigma must be > 0, got {self.sigma}")
         if not self.nu > 1.0:
             raise DomainError(f"need nu > 1 for a finite mean, got {self.nu}")
-
-    def ddf(self, x):
-        from scipy import stats as sps
-        return sps.t.sf(x, df=self.nu, loc=self.mu, scale=self.sigma)
-
-    def cdf(self, x):
-        from scipy import stats as sps
-        return sps.t.cdf(x, df=self.nu, loc=self.mu, scale=self.sigma)
-
-    def quantile(self, u):
-        from scipy import stats as sps
-        return sps.t.ppf(u, df=self.nu, loc=self.mu, scale=self.sigma)
 
     def mean(self) -> float:
         return self.mu
@@ -405,7 +378,7 @@ def _draw(f: BivariateFamily, n: int, rng: np.random.Generator):
 
 
 def chunk_seeds(seed: int, n_chunks: int):
-    """Counter-derived child seeds for partitioned parallel generation."""
+    """Counter-derived child seeds: stream i draws from (seed, i)."""
     return [np.random.SeedSequence(entropy=seed, spawn_key=(i,))
             for i in range(n_chunks)]
 
@@ -422,27 +395,6 @@ def sample(f: BivariateFamily, n: int, seed: int) -> PairedSample:
     rng = np.random.default_rng(seed)
     x, y = _draw(f, n, rng)
     return PairedSample(x, y, {"family": f.describe(), "seed": int(seed), "n": int(n)})
-
-
-def sample_chunked(f: BivariateFamily, n: int, seed: int,
-                   n_chunks: int) -> PairedSample:
-    """Like `sample`, but generated in n_chunks independent sub-streams.
-
-    Each chunk uses a child seed derived from (seed, chunk index), so the
-    chunks can be produced by concurrent workers and concatenated in index
-    order with a reproducible result.
-    """
-    if n_chunks < 1 or n < n_chunks:
-        raise DomainError("need 1 <= n_chunks <= n")
-    bounds = np.linspace(0, n, n_chunks + 1).astype(int)
-    xs, ys = [], []
-    for ss, lo, hi in zip(chunk_seeds(seed, n_chunks), bounds[:-1], bounds[1:]):
-        x, y = _draw(f, int(hi - lo), np.random.default_rng(ss))
-        xs.append(x)
-        ys.append(y)
-    return PairedSample(np.concatenate(xs), np.concatenate(ys),
-                        {"family": f.describe(), "seed": int(seed), "n": int(n),
-                         "n_chunks": int(n_chunks)})
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +510,9 @@ def pearson_closed_form(f: BivariateFamily) -> float:
     raise DomainError(f"unknown family {f!r}")
 
 
-# Triplets (i1, i2, i3) with i1 + i2 + i3 = 2, in a fixed deterministic order.
-BVP3_TRIPLETS = ((0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 0, 0), (0, 2, 0))
+# The triplets (i1, i2, i3), i1 + i2 + i3 = 2, whose density coefficient is
+# not identically zero, in a fixed deterministic order.
+BVP3_TRIPLETS = ((0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 0))
 
 
 def bvp3_pdf_terms(f: BVP3):
@@ -569,16 +522,12 @@ def bvp3_pdf_terms(f: BVP3):
                         (1+x+y)^-(delta+i3)  over triplets i1+i2+i3 = 2.
 
     Obtained as the mixed partial d^2 Fbar / dx dy of the joint ddf; the
-    nonzero coefficients are delta(delta+1), delta*delta_y, delta*delta_x
-    and delta_x*delta_y, and the density integrates to one exactly.
+    coefficients are delta(delta+1), delta*delta_y, delta*delta_x and
+    delta_x*delta_y (those of (2, 0, 0) and (0, 2, 0) vanish), and the
+    density integrates to one exactly.
     """
     if not isinstance(f, BVP3):
         raise DomainError("bvp3_pdf_terms requires a BVP3 family")
     d = f.delta
-    coeff = {
-        (0, 0, 2): d * (d + 1.0),
-        (0, 1, 1): d * f.delta_y,
-        (1, 0, 1): d * f.delta_x,
-        (1, 1, 0): f.delta_x * f.delta_y,
-    }
-    return [(trip, coeff.get(trip, 0.0)) for trip in BVP3_TRIPLETS]
+    coeff = (d * (d + 1.0), d * f.delta_y, d * f.delta_x, f.delta_x * f.delta_y)
+    return list(zip(BVP3_TRIPLETS, coeff))

@@ -350,8 +350,6 @@ def _bvp3_closed(f: BVP3, gamma: float) -> tuple[float, dict]:
     moment = 0.0
     sums = []
     for (i1, i2, i3), coeff in bvp3_pdf_terms(f):
-        if coeff == 0.0:
-            continue
         m = dxs + i1 + i3
         c = (gamma + 1.0) * dys + i2 + i3
         val = hyp_pfq(HypergeometricSpec((f.delta + i3, 2.0, 1.0), (m, c), 1.0))
@@ -372,7 +370,7 @@ def bvp3_closed_gamma(f: BVP3, gamma: float) -> float:
     density triplets, weighted by the coefficients of the density's mixed
     partial derivative, and assembles the covariance ratio from the exact
     uniform moments.  Needs dX* > 1, which makes the convergence margin
-    h = delta_x + (gamma+1) dY* - 1 exceed dX* - 1 > 0.  Every live series
+    h = delta_x + (gamma+1) dY* - 1 exceed dX* - 1 > 0.  Every series
     has 1 < dX*+i1+i3 and 1 < (gamma+1) dY*+i2+i3, so hyp_pfq sums it at
     margin max(h, 1) or more (Thomae's transformation when h < 1).
     """

@@ -1,9 +1,8 @@
 """Deterministic special-function kernel.
 
 Everything the closed-form correlation formulas need: log-beta, the
-regularized incomplete beta function, Pochhammer symbols in log space, and
-generalized hypergeometric series (q+1)F(q) evaluated inside the closed
-unit disk. All routines are pure and re-entrant.
+regularized incomplete beta function, and generalized hypergeometric
+series (q+1)F(q) at unit argument. All routines are pure and re-entrant.
 """
 
 from __future__ import annotations
@@ -59,17 +58,6 @@ def ln_beta(a: float, b: float) -> float:
     return math.lgamma(p) - diff
 
 
-def pochhammer_log(a: float, k: int) -> float:
-    """ln of the rising factorial (a)_k = Gamma(a+k) / Gamma(a); (a)_0 = 1."""
-    if not a > 0.0:
-        raise DomainError(f"pochhammer_log requires a > 0, got {a}")
-    if k < 0 or k != int(k):
-        raise DomainError(f"pochhammer_log requires integer k >= 0, got {k}")
-    if k == 0:
-        return 0.0
-    return math.lgamma(a + k) - math.lgamma(a)
-
-
 def reg_inc_beta(t, a: float, b: float):
     """Regularized incomplete beta function I_t(a, b), the Beta(a, b) c.d.f.
 
@@ -91,8 +79,9 @@ class HypergeometricSpec:
     """Parameters of a (q+1)F(q) generalized hypergeometric series.
 
     All upper and lower parameters must be strictly positive (the regime
-    every closed form here lives in), and |argument| <= 1. On the boundary
-    |z| = 1 the series converges absolutely iff the margin h > 0.
+    every closed form here lives in), and the argument must be 1, the only
+    one any closed form sums at; there the series converges iff the margin
+    h > 0.
     """
 
     upper: tuple
@@ -109,8 +98,8 @@ class HypergeometricSpec:
             )
         if any(a <= 0.0 for a in self.upper) or any(b <= 0.0 for b in self.lower):
             raise DomainError("all hypergeometric parameters must be > 0")
-        if not abs(self.argument) <= 1.0:
-            raise DomainError(f"|argument| must be <= 1, got {self.argument}")
+        if not self.argument == 1.0:
+            raise DomainError(f"argument must be 1, got {self.argument}")
 
     @property
     def h(self) -> float:
@@ -119,7 +108,7 @@ class HypergeometricSpec:
 
 
 def _term_log_ratio(upper, lower, k: int) -> float:
-    """ln of t_{k+1}/t_k at |z| = 1, accumulated in log space."""
+    """ln of t_{k+1}/t_k at z = 1, accumulated in log space."""
     out = -math.log1p(k)
     for a in upper:
         out += math.log(a + k)
@@ -217,80 +206,24 @@ def _sum_at_one(spec: HypergeometricSpec, rel_tol: float, cap: int) -> _UnitSum:
     return _UnitSum(math.exp(log_pre) * value, "thomae", a, terms)
 
 
-def _sum_interior(spec: HypergeometricSpec, rel_tol: float, cap: int) -> float:
-    """|z| < 1 (tail geometric) or z = -1 with h > 0 (alternating tail)."""
-    upper, lower = spec.upper, spec.lower
-    z = spec.argument
-    az = abs(z)
-    alternating_boundary = z == -1.0
-    h = spec.h
-    s = 0.0
-    comp = 0.0
-    log_t = 0.0
-    sign = 1.0
-    t = 1.0
-    prev_mag = math.inf
-    for k in range(cap):
-        y = t - comp
-        tt = s + y
-        comp = (tt - s) - y
-        s = tt
-        log_t += _term_log_ratio(upper, lower, k)
-        if z < 0.0:
-            sign = -sign
-        mag = math.exp(log_t + (k + 1) * math.log(az)) if az > 0.0 else 0.0
-        decreasing = mag < prev_mag
-        prev_mag = mag
-        t = sign * mag
-        kk = k + 1
-        if alternating_boundary:
-            # midpoint of consecutive partial sums; its error is set by the
-            # term-to-term decrement ~ (1+h)/k of the magnitudes
-            if kk > 40 and decreasing and \
-                    mag * (1.0 + h) / (4.0 * kk) <= rel_tol * abs(s):
-                return s + t / 2.0
-        elif k > 4:
-            # ratio of successive magnitudes; tail bounded geometrically
-            ratio = az * math.exp(_term_log_ratio(upper, lower, k + 1))
-            if ratio < 1.0 and mag * ratio / (1.0 - ratio) <= rel_tol * abs(s):
-                return s + t
-    raise SeriesCapError(
-        f"series cap {cap} reached at z={z}; partial sum {s!r}",
-        partial_sum=s, last_term=t, terms=cap,
-    )
-
-
 def hyp_pfq(spec: HypergeometricSpec, rel_tol: float = SERIES_REL_TOL,
             term_cap: int = SERIES_TERM_CAP) -> float:
     """Sum of the generalized hypergeometric series for `spec`.
 
-    Deterministic; raises ConvergenceError when |z| = 1 with h <= 0 and
-    SeriesCapError (carrying the partial sum and last term of the series
-    summed, and naming its representation and margin) when the term cap is
-    exhausted.
+    Deterministic; raises ConvergenceError when h <= 0 and SeriesCapError
+    (carrying the partial sum and last term of the series summed, and
+    naming its representation and margin) when the term cap is exhausted.
 
-    A 3F2 at z = 1 is summed directly or, when one of its upper parameters
-    a is below both lower ones and above the margin h, as its Thomae
-    transform, whose margin is a; the larger margin wins (see _sum_at_one).
-    At z = 1 the float returned also carries `representation`, `margin`
-    and `terms`.  2F1 at z = 1, |z| < 1 and z = -1 are summed directly.
+    A 3F2 is summed directly or, when one of its upper parameters a is
+    below both lower ones and above the margin h, as its Thomae transform,
+    whose margin is a; the larger margin wins (see _sum_at_one).  A 2F1 is
+    summed directly.  The float returned also carries `representation`,
+    `margin` and `terms`.
     """
     if not rel_tol > 0.0:
         raise DomainError(f"rel_tol must be > 0, got {rel_tol}")
-    z = spec.argument
-    if z == 0.0:
-        return 1.0
-    if abs(z) == 1.0:
-        if spec.h <= 0.0:
-            raise ConvergenceError(
-                f"series diverges at |z|=1: convergence margin h={spec.h:.6g} <= 0"
-            )
-        if z == 1.0:
-            return _sum_at_one(spec, rel_tol, term_cap)
-    return _sum_interior(spec, rel_tol, term_cap)
-
-
-def hyp2f1_unit(a: float, b: float, c: float,
-                rel_tol: float = SERIES_REL_TOL) -> float:
-    """Convenience: 2F1(a, b; c; 1), requiring c - a - b > 0."""
-    return hyp_pfq(HypergeometricSpec((a, b), (c,), 1.0), rel_tol)
+    if spec.h <= 0.0:
+        raise ConvergenceError(
+            f"series diverges at z=1: convergence margin h={spec.h:.6g} <= 0"
+        )
+    return _sum_at_one(spec, rel_tol, term_cap)

@@ -32,7 +32,7 @@ from ginicorr.gini import (
     lambda_w_empirical,
 )
 from ginicorr.oracle import QuadratureSpec, mc_reference, quad2_bvp3_moment, quad_cov_margin
-from ginicorr.specfun import hyp2f1_unit, reg_inc_beta
+from ginicorr.specfun import HypergeometricSpec, hyp_pfq, reg_inc_beta
 from ginicorr.weights import WeightFunction
 from ginicorr.wipm import Portfolio, allocate, gini_premium, gini_wipm_rhs
 
@@ -319,7 +319,7 @@ def test_criterion_9_gini_wipm_identity():
 def test_criterion_10_special_function_grids():
     """Series values, incomplete-beta identities, covariance closed forms."""
     worst_2f1 = max(
-        abs(hyp2f1_unit(2.0, 1.0, c) - (c - 1.0) / (c - 3.0))
+        abs(hyp_pfq(HypergeometricSpec((2.0, 1.0), (c,), 1.0)) - (c - 1.0) / (c - 3.0))
         for c in (4.5, 6.0, 10.0)
     )
 

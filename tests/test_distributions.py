@@ -25,7 +25,6 @@ from ginicorr.distributions import (
     pearson_closed_form,
     regression_line,
     sample,
-    sample_chunked,
 )
 from ginicorr.errors import (
     DomainError,
@@ -124,13 +123,6 @@ class TestSampler:
         assert np.array_equal(s1.xs, s2.xs) and np.array_equal(s1.ys, s2.ys)
         s3 = sample(f, 100, seed=8)
         assert not np.array_equal(s1.xs, s3.xs)
-
-    def test_chunked_deterministic(self):
-        f = BVP1(delta=2.5)
-        a = sample_chunked(f, 1000, seed=3, n_chunks=4)
-        b = sample_chunked(f, 1000, seed=3, n_chunks=4)
-        assert np.array_equal(a.xs, b.xs)
-        assert a.n == 1000
 
     def test_meta_records_provenance(self):
         s = sample(Normal(rho=0.2), 50, seed=11)
@@ -267,12 +259,6 @@ class TestPearson:
 
 
 class TestBvp3PdfTerms:
-    def test_zero_coefficients(self):
-        f = BVP3(delta=1.5, delta_x=1.5, delta_y=1.0)
-        terms = dict(bvp3_pdf_terms(f))
-        assert terms[(2, 0, 0)] == 0.0
-        assert terms[(0, 2, 0)] == 0.0
-
     def test_candidate_values(self):
         f = BVP3(delta=1.5, delta_x=1.5, delta_y=1.0)
         terms = dict(bvp3_pdf_terms(f))

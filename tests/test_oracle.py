@@ -33,22 +33,7 @@ from ginicorr.weights import WeightFunction, reflect
 from ginicorr.wipm import gini_wipm_rhs
 
 
-class UniformMargin:
-    """Quantile is the identity: U(0,1)."""
-
-    def quantile(self, u):
-        return u
-
-    def mean(self):
-        return 0.5
-
-
 class TestQuadCovMargin:
-    def test_uniform_identity_weight(self):
-        # Cov[U, 1-U] = -Var U = -1/12
-        got = quad_cov_margin(UniformMargin(), WeightFunction.identity())
-        assert got == pytest.approx(-1.0 / 12.0, abs=1e-10)
-
     def test_near_constant_weight_vanishes(self):
         got = quad_cov_margin(ParetoIIMargin(0.0, 1.0, 3.0),
                               WeightFunction.power(1e-9))

@@ -74,6 +74,12 @@ class TestAdmissibility:
         with pytest.raises(DomainError):
             WeightFunction.table([0.0, 0.5, 1.0], [0.0, 0.8, 0.5])
 
+    def test_table_dip_between_grid_points_rejected(self):
+        # the dip at 0.50005 is 1e-4 wide: a sampled check can step over it
+        with pytest.raises(DomainError):
+            WeightFunction.table([0.0, 0.5, 0.50005, 0.5001, 1.0],
+                                 [0.0, 0.5, 0.1, 0.5, 1.0])
+
     def test_table_range(self):
         with pytest.raises(DomainError):
             WeightFunction.table([0.0, 1.0], [0.0, 1.2])
