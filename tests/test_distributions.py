@@ -20,6 +20,7 @@ from ginicorr.distributions import (
     Normal,
     ParetoIIMargin,
     bvp3_pdf_terms,
+    chunk_seeds,
     joint_ddf,
     margins,
     pearson_closed_form,
@@ -123,6 +124,20 @@ class TestSampler:
         assert np.array_equal(s1.xs, s2.xs) and np.array_equal(s1.ys, s2.ys)
         s3 = sample(f, 100, seed=8)
         assert not np.array_equal(s1.xs, s3.xs)
+
+    def test_chunked_deterministic(self):
+        # mc_reference draws replication r from chunk_seeds(seed, R)[r]: one
+        # seed repeats the streams, and stream r does not depend on R
+        def streams(seeds):
+            return [np.random.default_rng(ss).standard_exponential(1000) for ss in seeds]
+
+        four = streams(chunk_seeds(3, 4))
+        for a, b in zip(four, streams(chunk_seeds(3, 4))):
+            assert np.array_equal(a, b)
+        for a, b in zip(four[:2], streams(chunk_seeds(3, 2))):
+            assert np.array_equal(a, b)
+        assert not np.array_equal(four[0], four[1])
+        assert not np.array_equal(four[0], streams(chunk_seeds(4, 1))[0])
 
     def test_meta_records_provenance(self):
         s = sample(Normal(rho=0.2), 50, seed=11)
@@ -259,6 +274,14 @@ class TestPearson:
 
 
 class TestBvp3PdfTerms:
+    def test_no_zero_coefficients(self):
+        # only the four live triplets are kept; none has a zero coefficient
+        for f in (BVP3(delta=1.5, delta_x=1.5, delta_y=1.0),
+                  BVP3(delta=0.3, delta_x=4.0, delta_y=0.02)):
+            terms = dict(bvp3_pdf_terms(f))
+            assert set(terms) == {(0, 0, 2), (1, 0, 1), (0, 1, 1), (1, 1, 0)}
+            assert all(c > 0.0 for c in terms.values())
+
     def test_candidate_values(self):
         f = BVP3(delta=1.5, delta_x=1.5, delta_y=1.0)
         terms = dict(bvp3_pdf_terms(f))

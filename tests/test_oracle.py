@@ -34,6 +34,12 @@ from ginicorr.wipm import gini_wipm_rhs
 
 
 class TestQuadCovMargin:
+    def test_normal_identity_weight(self):
+        # Cov[X, 1 - F(X)] = -GMD/4 = -sigma / (2 sqrt(pi)) for a normal margin
+        for sigma in (1.0, 2.5):
+            got = quad_cov_margin(NormalMargin(3.0, sigma), WeightFunction.identity())
+            assert got == pytest.approx(-sigma / (2.0 * math.sqrt(math.pi)), abs=1e-10)
+
     def test_near_constant_weight_vanishes(self):
         got = quad_cov_margin(ParetoIIMargin(0.0, 1.0, 3.0),
                               WeightFunction.power(1e-9))

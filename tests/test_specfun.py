@@ -154,6 +154,17 @@ class TestHypPfq:
                         - math.lgamma(c - a) - math.lgamma(c - b))
         assert hyp_pfq(HypergeometricSpec((a, b), (c,), 1.0)) == pytest.approx(want, rel=1e-9)
 
+    @given(a=st.floats(0.2, 4.0), b=st.floats(0.2, 4.0), h=st.floats(0.6, 6.0),
+           shared=st.floats(0.5, 6.0))
+    @settings(max_examples=60, deadline=None)
+    def test_parameter_cancellation(self, a, b, h, shared):
+        # (a, b, shared; c, shared) collapses to 2F1(a, b; c; 1), Gauss's sum
+        c = a + b + h
+        want = math.exp(math.lgamma(c) + math.lgamma(c - a - b)
+                        - math.lgamma(c - a) - math.lgamma(c - b))
+        got = hyp_pfq(HypergeometricSpec((a, b, shared), (c, shared), 1.0))
+        assert got == pytest.approx(want, rel=1e-9)
+
     def test_parameter_cancellation_3f2(self):
         # a shared upper/lower pair reduces 3F2 to 2F1
         full = hyp_pfq(HypergeometricSpec((1.5, 2.0, 3.3), (3.3, 7.0), 1.0))

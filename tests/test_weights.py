@@ -80,6 +80,11 @@ class TestAdmissibility:
             WeightFunction.table([0.0, 0.5, 0.50005, 0.5001, 1.0],
                                  [0.0, 0.5, 0.1, 0.5, 1.0])
 
+    def test_table_flat_between_knots_accepted(self):
+        # equal neighbouring knot values are non-decreasing: the check is < 0
+        w = WeightFunction.table([0.0, 0.3, 0.7, 1.0], [0.0, 0.5, 0.5, 1.0])
+        assert w(0.5) == 0.5
+
     def test_table_range(self):
         with pytest.raises(DomainError):
             WeightFunction.table([0.0, 1.0], [0.0, 1.2])
