@@ -26,8 +26,9 @@ from typing import Union
 import numpy as np
 
 # scipy.special is imported inside the normal and Student t tail quantiles
-# and scipy.stats inside joint_ddf, not here: scipy.stats takes longer to
-# import than the whole package.
+# and scipy.stats inside joint_ddf, not here: either takes longer to import
+# than the whole package, and the Pareto families, which most commands use,
+# need neither.
 from .errors import DomainError, MomentError, UnsupportedPairError, NoLinearRegressionError
 
 # Deterministic evaluation of the Student-t joint cdf (its Genz integrator

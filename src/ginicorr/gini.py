@@ -121,7 +121,7 @@ def _cw_ratio(xs: np.ndarray, dev: np.ndarray, wx: np.ndarray,
             "denominator covariance is numerically zero "
             "(constant xs or constant weight)"
         )
-    return num / den
+    return float(num / den)
 
 
 def _bootstrap_se(stat, xs: np.ndarray, ys: np.ndarray, n_boot: int,

@@ -11,7 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+
+# scipy.special is imported inside reg_inc_beta, its only user, not here:
+# importing it costs more than the rest of the package, and outside verify
+# only beta weights call reg_inc_beta.
 
 from .errors import ConvergenceError, DomainError, SeriesCapError
 
@@ -64,6 +67,8 @@ def reg_inc_beta(t, a: float, b: float):
     `t` may be a scalar or an ndarray in [0, 1]; a, b are positive scalars.
     Evaluated by scipy.special.betainc.
     """
+    from scipy import special
+
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
     t_arr = np.asarray(t, dtype=float)

@@ -169,8 +169,8 @@ def gini_wipm_rhs(f_or_s, w: WeightFunction,
         dev_x = s.xs - s.xs.mean()
         dev_y = s.ys - s.ys.mean()
         cw = _gini._cw_ratio(s.xs, dev_x, wx, wy)
-        cov_x = dev_x @ wx / s.n
-        cov_y = dev_y @ wy / s.n
+        cov_x = float(dev_x @ wx) / s.n
+        cov_y = float(dev_y @ wy) / s.n
         if cov_y == 0.0:
             raise DegenerateSampleError("Cov[Y, w(1-F_Y)] estimate is zero")
         pi_y = _premium(s.ys, wy)
@@ -210,7 +210,7 @@ def classical_wipm_rhs(s: PairedSample, v_of_y) -> PremiumResult:
     if np.ptp(s.xs) == 0.0 or np.ptp(s.ys) == 0.0:
         raise DegenerateSampleError("classical WIPM undefined: constant margin")
     rho = float(np.corrcoef(s.xs, s.ys)[0, 1])
-    ratio = s.xs.std(ddof=1) / s.ys.std(ddof=1)
+    ratio = float(s.xs.std(ddof=1) / s.ys.std(ddof=1))
     pi_v = weighted_premium(PairedSample(s.ys, s.ys, dict(s.meta)), v_of_y).premium
     ex, ey = float(s.xs.mean()), float(s.ys.mean())
     return PremiumResult(ex + rho * ratio * (pi_v - ey), ex, "empirical",

@@ -4,14 +4,20 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ginicorr.gini
 from ginicorr import verify
-from ginicorr.cli import main, parse_weight
+from ginicorr._csvrows import _read_rows, read_numeric_csv
+from ginicorr.cli import load_pairs_csv, main, parse_weight
+from ginicorr.distributions import BVP3, sample
+from ginicorr.errors import DomainError
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +161,86 @@ class TestSample:
         code, _, _ = run_cli(capsys, "sample", "--family", "bvp1",
                              "--delta", "0.0", "-n", "5")
         assert code == 2
+
+    def test_csv_and_json_print_12_digits_and_read_back(self, capsys, tmp_path):
+        flags = ("--family", "bvp3", "--delta", "1.5", "--delta-x", "1.5",
+                 "--delta-y", "1.0", "-n", "1000", "--seed", "7")
+        s = sample(BVP3(delta=1.5, delta_x=1.5, delta_y=1.0), 1000, 7)
+        want = [[format(float(v), ".12g") for v in col] for col in (s.xs, s.ys)]
+        path = tmp_path / "s.csv"
+        assert main(["sample", *flags, "--out", str(path)]) == 0
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+        assert lines == ["x,y", *(f"{x},{y}" for x, y in zip(*want))]
+        code, out, _ = run_cli(capsys, "sample", *flags, "--format", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert [payload["x"], payload["y"]] == [[float(v) for v in col] for col in want]
+        back = load_pairs_csv(path)
+        assert [back.xs.tolist(), back.ys.tolist()] == [payload["x"], payload["y"]]
+
+
+@st.composite
+def _csv_texts(draw):
+    """Small CSV texts: mostly rows of one width, some skipped or bad lines."""
+    width = draw(st.integers(1, 3))
+    cell = st.sampled_from(["1", "-2.5", "1e3", "nan", "-inf", " 4 ", "1_0", "x",
+                            "", "#", '"3"', "\x1c5"])
+    row = st.lists(cell, min_size=width, max_size=width).map(",".join)
+    odd = st.sampled_from(["", " \t", ",", " , ", "# note", "  #,x", '""', '"#",1'])
+    lines = draw(st.lists(st.one_of(row, row, odd), max_size=8))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+class TestReadNumericCsv:
+    def read(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_text(text, newline="")
+        return read_numeric_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "x,y\r\n1,2\r\n3,4\r\n",             # CRLF line endings
+        '"x","y"\n"1","2"\n"3",4\n',           # quoted cells
+        "x,y\n1,2\n \t \n,\n3,4\n",           # whitespace and comma lines
+        "# n=2\n\nx , y\n1_0e-1,2\n3,4.0\n",  # a number only float() reads
+    ])
+    def test_rows_and_header(self, tmp_path, text):
+        header, data = self.read(tmp_path, text)
+        assert header == ["x", "y"] and data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize("text,line", [
+        ("x,y\n1,2\n4,3 # c\n5,6\n", 3),   # a trailing comment is not stripped
+        ("# c\n1,2\n3,4\n5\n6,7\n", 4),    # a short row
+        ("1,2\r\n3,4\r\n5,6,7\r\n", 3),    # a long row, CRLF
+        ("1,2\n3\x1c,4\n", 2),              # \x1c is no space to float()
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, text, line):
+        with pytest.raises(DomainError) as exc:
+            self.read(tmp_path, text)
+        assert f"in.csv, line {line}: bad data row" in str(exc.value)
+
+    def test_empty_and_header_only(self, tmp_path):
+        assert self.read(tmp_path, "# nothing\n\n")[1].shape == (0, 0)
+        header, data = self.read(tmp_path, "x,y\n")
+        assert header == ["x", "y"] and data.shape == (0, 0)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_csv_texts())
+    def test_matches_the_row_by_row_reference(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_text(text, newline="")
+
+        def outcome(read):
+            try:
+                header, data = read()
+            except DomainError as exc:
+                return str(exc)
+            return header, data.shape, data.tobytes()
+
+        with open(path, newline="") as fh:
+            want = outcome(lambda: _read_rows(path, fh))
+        assert outcome(lambda: read_numeric_csv(path)) == want
 
 
 class TestCurves:
@@ -307,14 +393,48 @@ class TestParserHygiene:
         assert "closed_form" in path.read_text()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats and scipy.integrate cost more to import than the package;
-    # only the normal and Student t margins need the first and the
-    # quadrature the second, and they import them on first use
+# Each costs more to import than the package.  Only the normal and Student t
+# margins, beta weights and the quadrature need them, and they import them
+# on first use.
+_LAZY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.special")
+
+
+def _scipy_loaded_after(code, cwd=None):
+    """stdout of code run in a fresh interpreter, then the _LAZY_SCIPY it loaded."""
     src = str(Path(ginicorr.gini.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, ginicorr.cli; "
-            "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False False"
+    code += f"\nimport sys; print([m for m in {_LAZY_SCIPY!r} if m in sys.modules])"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True, cwd=cwd,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    assert _scipy_loaded_after("import ginicorr.cli") == "[]"
+
+
+def test_readme_commands_but_verify_load_no_scipy(tmp_path):
+    rng = np.random.default_rng(0)
+    np.savetxt(tmp_path / "losses.csv", rng.pareto(2.5, (200, 3)), delimiter=",",
+               header="motor,property,liability", comments="")
+    commands = [
+        ["corr", "--family", "bvp1", "--delta", "5.87", "--weight", "power:1",
+         "--method", "closed"],
+        ["sample", "--family", "bvp3", "--delta", "1.5", "--delta-x", "1.5",
+         "--delta-y", "1.0", "-n", "1000", "--seed", "7", "--out", "pairs.csv"],
+        ["corr", "--data", "pairs.csv", "--weight", "power:2", "--method", "empirical",
+         "--bootstrap", "20"],
+        ["curves", "--delta-min", "2.05", "--delta-max", "10", "--steps", "8",
+         "--delta-y", "0.5254"],
+        ["surface", "--family", "bvp2", "--delta", "2.1", "--delta-y", "0.5254",
+         "--x-max", "4", "--y-max", "4"],
+        ["price", "--portfolio", "losses.csv", "--weight", "power:1", "--allocate"],
+    ]
+    code = textwrap.dedent(f"""
+        import contextlib, io
+        from ginicorr.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in {commands!r}]
+        print(codes)
+    """)
+    assert _scipy_loaded_after(code, cwd=tmp_path).splitlines() == [
+        str([0] * len(commands)), "[]"]

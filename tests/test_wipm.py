@@ -17,6 +17,12 @@ from ginicorr.errors import (
     DomainError,
     NoLinearRegressionError,
 )
+from ginicorr.gini import (
+    empirical_cw,
+    empirical_pearson,
+    lambda_w,
+    lambda_w_empirical,
+)
 from ginicorr.oracle import mc_reference
 from ginicorr.weights import WeightFunction
 from ginicorr.wipm import (
@@ -284,3 +290,43 @@ class TestPortfolio:
     def test_validation(self):
         with pytest.raises(DomainError):
             Portfolio(("a",), np.array([[1.0], [np.inf], [2.0]]))
+
+
+_BVP2 = BVP2(delta=2.1, delta_y=0.5254)
+# every number a sample-based estimator hands back, by name
+_ESTIMATES = {
+    "empirical_cw.value": lambda s: empirical_cw(s, W_POW1, n_boot=20).value,
+    "empirical_cw.std_error": lambda s: empirical_cw(s, W_POW1, n_boot=20).std_error,
+    "empirical_pearson.value": lambda s: empirical_pearson(s, n_boot=20).value,
+    "empirical_pearson.std_error": lambda s: empirical_pearson(s, n_boot=20).std_error,
+    "lambda_w_empirical": lambda s: lambda_w_empirical(s.xs, W_BETA),
+    "lambda_w(sample)": lambda s: lambda_w(s, W_POW1),
+    "weighted_premium.premium": lambda s: weighted_premium(s, np.sqrt).premium,
+    "weighted_premium.base": lambda s: weighted_premium(s, np.sqrt).base,
+    "gini_premium.premium": lambda s: gini_premium(s, W_POW1).premium,
+    "gini_premium.loading": lambda s: gini_premium(s, W_POW1).loading,
+    "gini_wipm_rhs.premium": lambda s: gini_wipm_rhs(s, W_POW1).premium,
+    "gini_wipm_rhs.base": lambda s: gini_wipm_rhs(s, W_POW1).base,
+    "gini_wipm_rhs.cw": lambda s: gini_wipm_rhs(s, W_POW1).detail["cw"],
+    "gini_wipm_rhs.slope": lambda s: gini_wipm_rhs(s, W_POW1).detail["slope"],
+    "gini_wipm_rhs.pi_y": lambda s: gini_wipm_rhs(s, W_POW1).detail["pi_y"],
+    "classical_wipm_rhs.premium": lambda s: classical_wipm_rhs(s, np.sqrt).premium,
+    "classical_wipm_rhs.base": lambda s: classical_wipm_rhs(s, np.sqrt).base,
+    "classical_wipm_rhs.rho": lambda s: classical_wipm_rhs(s, np.sqrt).detail["rho"],
+    "classical_wipm_rhs.sd_ratio":
+        lambda s: classical_wipm_rhs(s, np.sqrt).detail["sd_ratio"],
+    "classical_wipm_rhs.pi_v": lambda s: classical_wipm_rhs(s, np.sqrt).detail["pi_v"],
+    "allocate.premium": lambda s: allocate(
+        Portfolio(("x", "y"), np.column_stack([s.xs, s.ys])), W_POW1)[0].premium,
+    "mc_reference.mean": lambda s: mc_reference(_BVP2, "cw", 1000, 1, 10,
+                                                weight=W_POW1)[0],
+    "mc_reference.se": lambda s: mc_reference(_BVP2, "cw", 1000, 1, 10,
+                                              weight=W_POW1)[1],
+}
+
+
+@pytest.mark.parametrize("name", list(_ESTIMATES))
+def test_estimates_are_python_floats(name):
+    # a numpy scalar would print as np.float64(...) in reports
+    s = sample(_BVP2, 500, seed=1)
+    assert type(_ESTIMATES[name](s)) is float
