@@ -22,16 +22,19 @@ def read_numeric_csv(path):
     """(header or None, 2-d array with one row per data line) of a CSV of numbers.
 
     Blank lines, lines of commas and lines starting with '#' are skipped.
-    Only the first remaining row may be a non-numeric header; a later row
-    that does not parse, or has another cell count than the first data row,
-    raises DomainError naming the file and line.
+    Only the first remaining row may be a non-numeric header.  A later row
+    that does not parse or has another cell count than the first data row,
+    or a byte that is not UTF-8, raises DomainError naming the file and place.
 
     numpy parses the data rows in one call.  When it cannot (a bad row, or
     a number such as 1_0 that float() reads and numpy does not), or the text
     has quotes, the rows are read one by one by the csv module and float().
     """
-    with open(path, newline="") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}, byte {exc.start}: not UTF-8 ({exc.reason})") from None
     if not _CSV_ONLY(text):
         lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
         lines = [line for line in lines if not _SKIP(line)]

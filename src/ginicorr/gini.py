@@ -257,7 +257,7 @@ def lambda_w(x, w: WeightFunction, spec: QuadratureSpec = DEFAULT_QUAD) -> float
     """Dispatch: sample arrays / PairedSample xs -> ranks, margins -> quadrature."""
     if isinstance(x, PairedSample):
         return lambda_w_empirical(x.xs, w)
-    if isinstance(x, np.ndarray) or isinstance(x, (list, tuple)):
+    if isinstance(x, (np.ndarray, list, tuple)):
         return lambda_w_empirical(np.asarray(x, dtype=float), w)
     return lambda_w_margin(x, w, spec)
 
@@ -279,24 +279,17 @@ def cov_x_weighted(m: ParetoIIMargin, w: WeightFunction,
     """
     if m.delta <= 1.0:
         raise MomentError(f"covariance needs delta > 1, got {m.delta}")
-    d, sig = m.delta, m.sigma
-    kind, gamma = _effective_power(w)
-    if kind == "power":
+    d, sig, gamma = m.delta, m.sigma, w.gamma
+    if w.kind in ("identity", "power"):
         return -(gamma / (gamma + 1.0)) * sig * d / ((d - 1.0) * (d * (gamma + 1.0) - 1.0))
     if w.kind == "beta_cdf":
-        a, b = w.a, w.b
-        ratio = math.exp(ln_beta(a + 1.0 - 1.0 / d, b) - ln_beta(a, b))
-        return (sig * d / (d - 1.0)) * (1.0 - ratio - b / (a + b))
+        return (sig * d / (d - 1.0)) * _beta_shape(d, w.a, w.b)
     return _oracle.quad_cov_margin(m, w, spec)
 
 
-def _effective_power(w: WeightFunction):
-    """("power", gamma) when w is a pure power weight, else (None, None)."""
-    if w.kind == "identity":
-        return "power", 1.0
-    if w.kind == "power":
-        return "power", w.gamma
-    return None, None
+def _beta_shape(d: float, a: float, b: float) -> float:
+    """1 - B(a+1-1/d, b)/B(a, b) - b/(a+b): the beta(a, b) weight's Pareto(d) factor."""
+    return 1.0 - math.exp(ln_beta(a + 1.0 - 1.0 / d, b) - ln_beta(a, b)) - b / (a + b)
 
 
 def _cov_margin_weighted(margin, w: WeightFunction, spec: QuadratureSpec):
@@ -330,12 +323,7 @@ def _bvp2_power(delta: float, dys: float, gamma: float) -> float:
 
 
 def _bvp2_beta(delta: float, dys: float, a: float, b: float) -> float:
-    lnb = ln_beta(a, b)
-
-    def shape_factor(d):
-        return 1.0 - math.exp(ln_beta(a + 1.0 - 1.0 / d, b) - lnb) - b / (a + b)
-
-    return (1.0 / delta) * shape_factor(dys) / shape_factor(delta)
+    return (1.0 / delta) * _beta_shape(dys, a, b) / _beta_shape(delta, a, b)
 
 
 def _bvp3_closed(f: BVP3, gamma: float) -> tuple[float, dict]:
@@ -356,7 +344,7 @@ def _bvp3_closed(f: BVP3, gamma: float) -> tuple[float, dict]:
         sums.append(val)
         moment += coeff * (val / ((m - 2.0) * (m - 1.0) * (c - 1.0)))
     cov_num = moment - 1.0 / ((dxs - 1.0) * (gamma + 1.0))
-    cov_den = -(gamma / (gamma + 1.0)) * dxs / ((dxs - 1.0) * (dxs * (gamma + 1.0) - 1.0))
+    cov_den = cov_x_weighted(ParetoIIMargin(0.0, 1.0, dxs), WeightFunction.power(gamma))
     detail = {"h": f.delta_x + (gamma + 1.0) * dys - 1.0,
               "series_margin": min(v.margin for v in sums),
               "series_terms": sum(v.terms for v in sums)}
@@ -385,22 +373,21 @@ def closed_cw(f: BivariateFamily, w: WeightFunction) -> CorrelationReport:
     BVP2: power or beta-c.d.f. weights.  BVP3: power weights; detail
     records the direct 3F2 margin h, the smallest margin actually summed
     (series_margin, at least 1) and the total terms summed (series_terms).
+    Every Pareto value has an independent check in oracle.hoeffding_cw,
+    which also covers the pairs raising UnsupportedPairError here.
     """
     detail = {}
     if isinstance(f, Normal):
         value = f.rho
     elif isinstance(f, EllipticalT):
         value = f.sigma_xy / (f.sigma_x * f.sigma_y)
+    elif isinstance(f, (BVP1, BVP2)) and f.delta <= 1.0:
+        raise MomentError(f"closed form needs delta > 1, got {f.delta}")
     elif isinstance(f, BVP1):
-        if f.delta <= 1.0:
-            raise MomentError(f"closed form needs delta > 1, got {f.delta}")
         value = 1.0 / f.delta
     elif isinstance(f, BVP2):
-        if f.delta <= 1.0:
-            raise MomentError(f"closed form needs delta > 1, got {f.delta}")
-        kind, gamma = _effective_power(w)
-        if kind == "power":
-            value = _bvp2_power(f.delta, f.delta_y_star, gamma)
+        if w.kind in ("identity", "power"):
+            value = _bvp2_power(f.delta, f.delta_y_star, w.gamma)
         elif w.kind == "beta_cdf":
             value = _bvp2_beta(f.delta, f.delta_y_star, w.a, w.b)
         else:
@@ -409,13 +396,12 @@ def closed_cw(f: BivariateFamily, w: WeightFunction) -> CorrelationReport:
                 suggestion="cw_via_regression (quadrature covariances) or empirical_cw",
             )
     elif isinstance(f, BVP3):
-        kind, gamma = _effective_power(w)
-        if kind != "power":
+        if w.kind not in ("identity", "power"):
             raise UnsupportedPairError(
                 f"no closed form for BVP3 with a {w.kind} weight",
-                suggestion="empirical_cw or oracle.quad2_bvp3_moment",
+                suggestion="oracle.hoeffding_cw or empirical_cw",
             )
-        value, detail = _bvp3_closed(f, gamma)
+        value, detail = _bvp3_closed(f, w.gamma)
     else:
         raise DomainError(f"unknown family {f!r}")
     return CorrelationReport(float(value), "closed_form", None, w.describe(), detail)

@@ -3,10 +3,11 @@
 Vectorised tanh-sinh quadrature of marginal covariances in the tail variable
 t = 1 - F(x) (which tames the heavy tails: the integrand lives on (0,1), and
 a substitution t = s^k keeps the part near the tail that doubles cannot
-reach negligible), the three-index Pareto correlation from Hoeffding's
-identity over its joint survival function, and seeded Monte Carlo reference
-estimates whose standard errors come from replication spread rather than
-within-run asymptotics (heavy tails make the latter unreliable).  Every
+reach negligible), the weighted Gini correlation of the three Pareto
+families for every weight from Hoeffding's identity over their joint
+survival function, and seeded Monte Carlo reference estimates whose
+standard errors come from replication spread rather than within-run
+asymptotics (heavy tails make the latter unreliable).  Every
 quadrature is tanh-sinh; any non-zero status raises QuadratureError.
 
 Everything here is trusted *before* any closed form and arbitrates them.
@@ -19,14 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
+    BVP1,
+    BVP2,
     BVP3,
     BivariateFamily,
     PairedSample,
     ParetoIIMargin,
     chunk_seeds,
+    margins,
     _draw,
 )
 from .errors import DegenerateSampleError, DomainError, MomentError, QuadratureError
+from .specfun import ln_beta
 from .weights import WeightFunction, reflect
 
 
@@ -57,6 +62,36 @@ def _tail_power(tail_index: float) -> float:
     return max(1.0, 0.05 / (1.0 - 1.0 / tail_index))
 
 
+def _tanhsinh(f, lo, hi, args=(), **kw):
+    """tanhsinh of f(x, *args) over each [lo, hi]: (integral, error, status, nfev).
+
+    From lo > 0 the variable is log(x / lo): over [a, b], a << b, a power
+    of x bends at x ~ a, too deep for the coarse levels, which then agree
+    on a wrong value, and a narrow interval's nodes round onto its ends,
+    where tanhsinh drops them.  From 0 it is x / hi.  Below the smallest
+    normal double, which holds under 1e-14 of these integrals (see
+    _tail_power), an interval starts at 0 instead or is left at 0.
+    """
+    from scipy.integrate import tanhsinh
+
+    tiny = np.finfo(float).tiny
+    lo = np.where(lo < tiny, 0.0, lo)
+    wide = hi > np.maximum(np.nextafter(lo, 2.0), tiny)
+    lo, hi, args = lo[wide], hi[wide], [a[wide] for a in args]
+    lo1 = np.where(lo > 0.0, lo, 1.0)
+
+    def g(u, la, lo, hi, *args):
+        # exp rounds up past hi at the top node at worst
+        x = np.where(lo > 0.0, np.minimum(np.exp(la + u), hi), hi * u)
+        return f(x, *args) * np.where(lo > 0.0, x, hi)
+
+    res = tanhsinh(g, np.zeros_like(lo), np.where(lo > 0.0, np.log1p((hi - lo) / lo1), 1.0),
+                   args=(np.log(lo1), lo, hi, *args), **kw)
+    out = np.zeros((4, wide.size))
+    out[:, wide] = res.integral, res.error, res.status, res.nfev
+    return out
+
+
 def _tail_cov(margin, w: WeightFunction, spec: QuadratureSpec):
     """Cov[X, w(1 - F_X(X))] by tanh-sinh: (value, error estimate, evaluations).
 
@@ -66,15 +101,13 @@ def _tail_cov(margin, w: WeightFunction, spec: QuadratureSpec):
     the upper half onto the lower, Qbar(1 - t) = -Qbar(t), and integrate
     Qbar(t) (w(t) + w*(t) - 1) over (0, 1/2], with w*(t) = 1 - w(1 - t)
     evaluated as reflect(w) so no 1 - t rounds.  The knots of a table
-    weight are break points; the intervals between them, bar those one ulp
-    wide, go to one vectorised tanhsinh call.  The rule starts at level 3,
+    weight are break points; the intervals between them go to one
+    vectorised tanhsinh call (see _tanhsinh).  The rule starts at level 3,
     not 2: its error estimate compares the last levels, and three coarse
     levels that agree by chance end it early (a table weight at Pareto
     delta = 5.15 stopped after 67 points with an estimate of 4e-15 and an
     error of 3e-11).
     """
-    from scipy.integrate import tanhsinh
-
     wbar = w.mean_on_unit()
     kinks = w.knots_t if w.kind == "table" else np.empty(0)
     k = _tail_power(margin.tail_index)
@@ -93,19 +126,16 @@ def _tail_cov(margin, w: WeightFunction, spec: QuadratureSpec):
             return margin.tail_quantile(s, k) * (w.at_power(s, k) - wbar)
     t_edges = np.unique(np.concatenate([[0.0, end], kinks[(kinks > 0.0) & (kinks < end)]]))
     edges = t_edges ** (1.0 / k)
-    # an interval with no double inside it holds no node and nothing to sum
-    lo, hi = edges[:-1], edges[1:]
-    wide = hi > np.nextafter(lo, 2.0)
-    res = tanhsinh(f, lo[wide], hi[wide], minlevel=3, atol=spec.abs_tol,
-                   rtol=spec.rel_tol)
-    value, error = float(res.integral.sum()), float(res.error.sum())
-    if np.any(res.status != 0):
+    value, error, status, nfev = _tanhsinh(f, edges[:-1], edges[1:], minlevel=3,
+                                           atol=spec.abs_tol, rtol=spec.rel_tol)
+    value, error, nfev = float(value.sum()), float(error.sum()), int(nfev.sum())
+    if np.any(status != 0):
         raise QuadratureError(
             f"tanh-sinh covariance quadrature did not converge (status "
-            f"{res.status.tolist()}, {int(res.nfev.sum())} evaluations)",
+            f"{status.astype(int).tolist()}, {nfev} evaluations)",
             estimate=value, error_estimate=error,
         )
-    return value, error, int(res.nfev.sum())
+    return value, error, nfev
 
 
 def quad_cov_margin(margin, w: WeightFunction,
@@ -119,32 +149,46 @@ def quad_cov_margin(margin, w: WeightFunction,
 
 
 # ---------------------------------------------------------------------------
-# BVP3 oracle from Hoeffding's identity
+# Pareto oracle from Hoeffding's identity
 # ---------------------------------------------------------------------------
 
-def quad2_bvp3_moment(f: BVP3, gamma: float,
-                      spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Oracle extended Gini correlation for BVP3, built from quadrature only.
+def hoeffding_cw(f: BivariateFamily, w: WeightFunction,
+                 spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+    """Weighted Gini correlation of BVP1, BVP2 or BVP3 by quadrature alone.
 
-    The numerator Cov[X, S_Y(Y)^gamma] of the standard BVP3 is Hoeffding's
-    -int int [S - S_X S_Y] dx ds with s = S_Y(y)^gamma (Hoeffding 1940;
-    Cuadras 2002).  Here S - S_X S_Y = S_X S_Y expm1(delta L), and
-    L = -log(p + q (1 - p)) with p = 1/(1+x), q = 1/(1+y) is formed from
-    log p and log q (x and y overflow), by log1p while (1-p)(1-q) is small.
-    x runs in the tail variable u = S_X(x) = t^k (see _tail_power).  The
-    outer tanhsinh over s is vectorised over the inner one over t; both
-    start at level 3, with the tolerances scaled by 1e-2 per nesting level.
-    The denominator is 1-d tail-variable quadrature.  Neither uses the
-    density expansion or a hypergeometric series, as the closed form does.
+    All three have S - S_X S_Y = S_X S_Y expm1(delta L), L = -log(p + q (1-p)),
+    p = 1/(1+x), q = 1/(1+y) in standard units, and differ only in the tail
+    indices dX*, dY* of margins(f).  Hoeffding's identity (Hoeffding 1940;
+    Cuadras 2002) gives the numerator Cov[X, w(v)], v = S_Y(Y), as
+    -int w'(v) int (S - S_X S_Y) dx dv: the outer integral in s = v^p with
+    dw = c (1 - v)^(b-1) ds (for a table, across each knot interval), the
+    inner one in the tail variable S_X(x) = t^k (see _tail_power), split
+    at the ridge p = q where L bends once q < 1/e; L comes from log p and
+    log q.  Both are tanhsinh from level 3, with the tolerances scaled by
+    1e-2 per level of nesting.  The denominator is quad_cov_margin.  No
+    density expansion, 3F2 series or regression line enters.
     """
-    from scipy.integrate import tanhsinh
-
-    d, dxs, dys = f.delta, f.delta_x_star, f.delta_y_star
-    # first, since it rejects gamma <= 0 and dX* <= 1
-    cov_den = quad_cov_margin(ParetoIIMargin(0.0, 1.0, dxs), WeightFunction.power(gamma),
-                              spec)
+    if not isinstance(f, (BVP1, BVP2, BVP3)):
+        raise DomainError(f"the Hoeffding oracle covers the Pareto families, not {f!r}")
+    d, dxs, dys = f.delta, *(m.delta for m in margins(f))
+    t, v = w.knots_t, w.knots_w
+    if w.kind == "table" and v[-1] > v[0]:  # C_w is that of (w - w(0)) / (w(1) - w(0))
+        w = WeightFunction.table(t, (v - v[0]) / (v[-1] - v[0]))
+    cov_den = quad_cov_margin(ParetoIIMargin(0.0, 1.0, dxs), w, spec)  # rejects dX* <= 1
+    if cov_den == 0.0:
+        raise DegenerateSampleError("C_w undefined: constant weight")
+    if w.kind == "table":       # s = v = s0 + r ds, dw = rise dr, r in [0, 1]
+        rise = np.diff(w.knots_w)
+        up = rise > 0.0
+        p, b, s0, ds, scale = 1.0, 1.0, t[:-1][up], np.diff(t)[up], rise[up]
+    elif w.kind == "beta_cdf":  # I_v(a, b): c = 1/(a B(a, b))
+        p, b, s0, ds = w.a, w.b, np.zeros(1), np.ones(1)
+        scale = np.exp(np.full(1, -np.log(w.a) - ln_beta(w.a, w.b)))
+    else:                       # v^gamma = I_v(gamma, 1): c = 1
+        p, b, s0, ds, scale = w.gamma, 1.0, np.zeros(1), np.ones(1), np.ones(1)
     k = _tail_power(dxs)
     cx, px = k / dxs, k * (1.0 - 1.0 / dxs) - 1.0
+    tol = dict(minlevel=3, atol=spec.abs_tol * 1e-4, rtol=spec.rel_tol * 1e-4)
     inner_fails, inner_error = 0, 0.0
 
     def bracket(t, lq):
@@ -155,25 +199,44 @@ def quad2_bvp3_moment(f: BVP3, gamma: float,
         # S_X dx = cx t^px dt; S_Y expm1(el) = e^(dys lq + el) (1 - e^(-el)) <= 1
         return cx * t ** px * np.exp(dys * lq + el) * -np.expm1(-el)
 
-    def inner(s):
+    def inner(r, s0, ds, scale):
         nonlocal inner_fails, inner_error
-        res = tanhsinh(bracket, np.zeros_like(s), np.ones_like(s),
-                       args=(np.log(s) / (gamma * dys),), minlevel=3,
-                       atol=spec.abs_tol * 1e-4, rtol=spec.rel_tol * 1e-4)
-        inner_fails += int(np.count_nonzero(res.status))
-        inner_error = max(inner_error, float(res.error.max()))
-        return res.integral
+        ls = np.log(s0 + r * ds)
+        lq, lv = ls / (p * dys), ls / p                     # log q, log v
+        tail = -np.expm1(lv)                                # 1 - v
+        g = scale * np.where(tail > 0.0, tail, 1.0) ** (b - 1.0)
+        # 0 <= S - S_X S_Y <= min(S_X (1 - v), S_X, v) bounds the inner integral;
+        # it is left at 0 where the bound times g is below the tolerance on C_w
+        bound = np.minimum(tail, dxs * np.exp(lv * (1.0 - 1.0 / dxs))) / (dxs - 1.0)
+        live = g * bound > tol["atol"] * min(1.0, -cov_den)
+        lq = lq[live]
+        # once q < 1/e the bend of L at p = q is too deep in t for the coarse levels
+        ridge = np.where(lq < -1.0, np.exp(lq / cx), 1.0)
+        t0 = np.concatenate([np.zeros_like(ridge), ridge])
+        t1 = np.concatenate([ridge, np.ones_like(ridge)])
+        part, error, status, _ = _tanhsinh(bracket, t0, t1, args=(np.tile(lq, 2),), **tol)
+        inner_fails += int(np.count_nonzero(status))
+        inner_error = max(inner_error, float(error.max(initial=0.0)))
+        value = np.zeros(r.shape)
+        value[live] = part.reshape(2, -1).sum(axis=0)
+        return value * g
 
-    res = tanhsinh(inner, 0.0, 1.0, minlevel=3, atol=spec.abs_tol * 1e-2,
-                   rtol=spec.rel_tol * 1e-2)
-    cov_num = -float(res.integral)
-    if res.status != 0 or inner_fails:
+    value, error, status, _ = _tanhsinh(inner, np.zeros_like(s0), np.ones_like(s0),
+                                        args=(s0, ds, scale), minlevel=3,
+                                        atol=spec.abs_tol * 1e-2, rtol=spec.rel_tol * 1e-2)
+    cov_num = -float(value.sum())
+    if np.any(status != 0) or inner_fails:
         raise QuadratureError(
-            f"BVP3 Hoeffding quadrature did not converge (outer status "
-            f"{int(res.status)}, {inner_fails} inner integrals failed)",
-            estimate=cov_num, error_estimate=float(res.error) + inner_error,
+            f"Hoeffding quadrature did not converge (outer status "
+            f"{status.astype(int).tolist()}, {inner_fails} inner integrals failed)",
+            estimate=cov_num, error_estimate=float(error.sum()) + inner_error,
         )
     return cov_num / cov_den
+
+
+def quad2_bvp3_moment(f: BVP3, gamma: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+    """hoeffding_cw with the power weight t^gamma, the name bench/ imports."""
+    return hoeffding_cw(f, WeightFunction.power(gamma), spec)
 
 
 # ---------------------------------------------------------------------------

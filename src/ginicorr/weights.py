@@ -26,7 +26,7 @@ class WeightFunction:
     """One member of the admissible class, tagged by `kind`.
 
     kind: "identity" | "power" | "beta_cdf" | "table"
-    power uses `gamma`; beta_cdf uses `a`, `b`; table uses the knot arrays.
+    power and the identity (t^1) use `gamma`; beta_cdf `a`, `b`; table the knots.
     Instances are immutable and safe to share between workers.
     """
 
@@ -39,7 +39,7 @@ class WeightFunction:
 
     def __post_init__(self):
         if self.kind == "identity":
-            pass
+            object.__setattr__(self, "gamma", 1.0)
         elif self.kind == "power":
             if self.gamma is None or not self.gamma > 0.0:
                 raise DomainError(f"power weight requires gamma > 0, got {self.gamma}")

@@ -31,7 +31,7 @@ from ginicorr.gini import (
     empirical_cw,
     lambda_w_empirical,
 )
-from ginicorr.oracle import QuadratureSpec, mc_reference, quad2_bvp3_moment, quad_cov_margin
+from ginicorr.oracle import QuadratureSpec, hoeffding_cw, mc_reference, quad_cov_margin
 from ginicorr.specfun import HypergeometricSpec, hyp_pfq, reg_inc_beta
 from ginicorr.weights import WeightFunction
 from ginicorr.wipm import Portfolio, allocate, gini_premium, gini_wipm_rhs
@@ -189,14 +189,15 @@ def test_criterion_6_curve_shapes():
 def test_criterion_7_bvp3_formula_vs_oracle():
     """BVP3 closed form vs the 2-d quadrature oracle and its two limits."""
     probe = BVP3(delta=1.5, delta_x=1.5, delta_y=1.0)
-    assert abs(closed_cw(probe, WeightFunction.identity()).value
-               - quad2_bvp3_moment(probe, 1.0)) < 1e-4
+    w_id = WeightFunction.identity()
+    assert abs(closed_cw(probe, w_id).value - hoeffding_cw(probe, w_id)) < 1e-4
     spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8)
     worst = 0.0
     for d in (1.2, 1.8, 2.4):                 # dX* = 3, dY* = 2.5
         for g in (0.5, 1.0, 2.0):
             f = BVP3(delta=d, delta_x=3.0 - d, delta_y=2.5 - d)
-            diff = abs(bvp3_closed_gamma(f, g) - quad2_bvp3_moment(f, g, spec))
+            diff = abs(bvp3_closed_gamma(f, g)
+                       - hoeffding_cw(f, WeightFunction.power(g), spec))
             worst = max(worst, diff)
     # limiting reductions of the triple-index formula
     worst_lim1 = max(

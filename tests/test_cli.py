@@ -1,5 +1,6 @@
 """Command-line surface tests: determinism, exit codes, wire formats."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ginicorr.gini
+import ginicorr.wipm
 from ginicorr import verify
 from ginicorr._csvrows import _read_rows, read_numeric_csv
 from ginicorr.cli import load_pairs_csv, main, parse_weight
@@ -219,6 +221,12 @@ class TestReadNumericCsv:
             self.read(tmp_path, text)
         assert f"in.csv, line {line}: bad data row" in str(exc.value)
 
+    def test_byte_that_is_not_utf8_names_its_offset(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"x,y\n1,2\n3,\xff4\n5,6\n")
+        with pytest.raises(DomainError, match=r"in\.csv, byte 10: not UTF-8"):
+            read_numeric_csv(path)
+
     def test_empty_and_header_only(self, tmp_path):
         assert self.read(tmp_path, "# nothing\n\n")[1].shape == (0, 0)
         header, data = self.read(tmp_path, "x,y\n")
@@ -241,6 +249,19 @@ class TestReadNumericCsv:
         with open(path, newline="") as fh:
             want = outcome(lambda: _read_rows(path, fh))
         assert outcome(lambda: read_numeric_csv(path)) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["corr", "--data", "{}", "--method", "empirical", "--bootstrap", "0"],
+    ["corr", "--family", "bvp1", "--delta", "3", "--weight", "table:{}", "--method", "closed"],
+    ["price", "--portfolio", "{}"],
+], ids=["data", "table", "portfolio"])
+def test_csv_byte_that_is_not_utf8_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "bin.csv"
+    path.write_bytes(b"x,y\n1,2\n3,\xff4\n5,6\n")
+    code, out, err = run_cli(capsys, *(a.format(path) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"{path}, byte 10: not UTF-8" in err
 
 
 class TestCurves:
@@ -351,7 +372,7 @@ class TestVerify:
     def test_all_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "all")
         assert code == 0
-        assert "FAIL" not in out
+        assert "FAIL" not in out and out.endswith("13/13 checks passed\n")
 
     def test_injected_fault_names_failing_check(self, capsys, monkeypatch):
         # flip the sign of the closed covariance: the named quadrature
@@ -369,6 +390,24 @@ class TestVerify:
         code = main(["verify", "gini"])
         capsys.readouterr()
         assert code == 1
+
+    @pytest.mark.parametrize("module,name,fault", [
+        (ginicorr.gini, "regression_line",
+         lambda orig: lambda f: dataclasses.replace(orig(f), beta=orig(f).beta * 1.01)),
+        (ginicorr.gini, "_bvp2_power", lambda orig: lambda *a: orig(*a) * 1.001),
+        (ginicorr.gini, "_bvp2_beta", lambda orig: lambda *a: orig(*a) * 1.001),
+        (ginicorr.gini, "_bvp3_closed",
+         lambda orig: lambda *a: (orig(*a)[0] * 1.001, orig(*a)[1])),
+        (ginicorr.wipm, "gini_wipm_rhs", lambda orig: lambda *a: dataclasses.replace(
+            orig(*a), premium=2.0 * orig(*a).base - orig(*a).premium)),
+    ], ids=["regression_beta", "bvp2_power", "bvp2_beta", "bvp3_closed", "wipm_slope"])
+    def test_injected_route_fault_fails_the_hoeffding_check(self, monkeypatch, module,
+                                                            name, fault):
+        # one perturbed route among closed_cw, cw_via_regression and the WIPM
+        # identity: the Hoeffding-oracle check must name it
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        failed = [r.name for r in verify.run("gini") if not r.passed]
+        assert failed == ["routes_vs_hoeffding"]
 
     def test_unknown_suite_exits_2(self, capsys):
         # argparse rejects the choice itself

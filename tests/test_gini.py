@@ -37,7 +37,7 @@ from ginicorr.gini import (
     lambda_w_empirical,
     lambda_w_margin,
 )
-from ginicorr.oracle import mc_reference, quad2_bvp3_moment, quad_cov_margin
+from ginicorr.oracle import hoeffding_cw, mc_reference, quad_cov_margin
 from ginicorr.specfun import SERIES_TERM_CAP
 from ginicorr.weights import WeightFunction
 
@@ -424,14 +424,18 @@ class TestClosedCw:
         assert closed_cw(f, W_BETA).value == pytest.approx(0.3 / (2.0 * 0.5))
 
     def test_bvp1_every_weight_and_gamma(self):
-        for g in (0.5, 1.0, 2.0):
-            got = closed_cw(BVP1(delta=5.87), WeightFunction.power(g)).value
-            assert got == pytest.approx(1.0 / 5.87, rel=1e-14)
+        # against the Hoeffding-identity quadrature, which shares no formula
+        f = BVP1(delta=5.87)
+        for w in (*(WeightFunction.power(g) for g in (0.5, 1.0, 2.0)), W_BETA, W_TABLE):
+            got = closed_cw(f, w).value
+            assert got == pytest.approx(hoeffding_cw(f, w), rel=1e-12)
             assert got == pytest.approx(0.17036, abs=1e-5)
 
     def test_bvp2_power_example(self):
-        got = closed_cw(BVP2(delta=2.1, delta_y=0.5254), W_ID).value
-        assert got == pytest.approx((1 / 2.1) * (3.2 / 4.2508), rel=1e-12)
+        f = BVP2(delta=2.1, delta_y=0.5254)
+        got = closed_cw(f, W_ID).value
+        assert got == pytest.approx(hoeffding_cw(f, W_ID), rel=1e-12)
+        assert got == pytest.approx(0.358476, abs=1e-6)
 
     def test_bvp2_beta_reduction_to_power(self):
         f = BVP2(delta=2.1, delta_y=0.5254)
@@ -446,6 +450,12 @@ class TestClosedCw:
             closed_cw(BVP2(delta=2.1, delta_y=0.5254), w)
         assert "regression" in err.value.suggestion or "empirical" in err.value.suggestion
 
+    @pytest.mark.parametrize("w", [W_BETA, WeightFunction.table([0.0, 1.0], [0.0, 1.0])])
+    def test_bvp3_unsupported_names_hoeffding_route(self, w):
+        with pytest.raises(UnsupportedPairError) as err:
+            closed_cw(BVP3(delta=1.8, delta_x=1.2, delta_y=0.7), w)
+        assert "oracle.hoeffding_cw" in err.value.suggestion
+
     def test_bvp1_moment_error(self):
         with pytest.raises(MomentError):
             closed_cw(BVP1(delta=1.0), W_ID)
@@ -454,15 +464,14 @@ class TestClosedCw:
         # the mixed-partial coefficients, the only convention, reproduce the
         # 2-d quadrature oracle at the probe point
         probe = BVP3(delta=1.5, delta_x=1.5, delta_y=1.0)
-        assert abs(closed_cw(probe, W_ID).value
-                   - quad2_bvp3_moment(probe, 1.0)) < 1e-4
+        assert abs(closed_cw(probe, W_ID).value - hoeffding_cw(probe, W_ID)) < 1e-4
         f = BVP3(delta=1.8, delta_x=1.2, delta_y=0.7)
         assert closed_cw(f, W_ID).value == bvp3_closed_gamma(f, 1.0)
 
     def test_bvp3_matches_quadrature_oracle(self):
         f = BVP3(delta=1.8, delta_x=1.2, delta_y=0.7)
-        got = closed_cw(f, WeightFunction.power(1.5)).value
-        assert got == pytest.approx(quad2_bvp3_moment(f, 1.5), abs=1e-6)
+        w = WeightFunction.power(1.5)
+        assert closed_cw(f, w).value == pytest.approx(hoeffding_cw(f, w), abs=1e-6)
 
     def test_bvp3_mc_cross_check(self):
         f = BVP3(delta=1.8, delta_x=1.2, delta_y=0.7)

@@ -21,10 +21,11 @@ from ginicorr.distributions import (
     StudentTMargin,
     margins,
 )
-from ginicorr.errors import DomainError, MomentError, QuadratureError
+from ginicorr.errors import DegenerateSampleError, DomainError, MomentError, QuadratureError
 from ginicorr.gini import closed_cw, cov_x_weighted, cw_via_regression, lambda_w_margin
 from ginicorr.oracle import (
     QuadratureSpec,
+    hoeffding_cw,
     mc_reference,
     quad2_bvp3_moment,
     quad_cov_margin,
@@ -200,6 +201,17 @@ class TestTailQuadrature:
         got = quad_cov_margin(StudentTMargin(0.0, 1.0, 1.5), w)
         assert got == pytest.approx(_student_t_cov_mpmath(1.5, w), rel=1e-10)
 
+    @pytest.mark.parametrize("delta,knot", [(1.16329, 1e-29), (1.16329, 1e-35),
+                                            (1.33985, 1e-22), (1.77741, 1e-8),
+                                            (2.0, 1e-6), (1.5, 1e-12), (1.01, 1e-300)])
+    def test_table_knot_far_below_the_next(self, delta, knot):
+        # t^(-1/delta) bends at t ~ knot, far below the next knot: run in
+        # t from 0 to the knot, the coarse levels agreed on values up to
+        # 3e-6 off
+        w = WeightFunction.table([0.0, knot, 0.3, 1.0], [0.0, 0.2, 0.5, 1.0])
+        got = quad_cov_margin(ParetoIIMargin(0.0, 1.0, delta), w)
+        assert got == pytest.approx(_pareto_table_cov(delta, w), rel=1e-9)
+
     @pytest.mark.filterwarnings("error")
     def test_knots_one_ulp_apart(self):
         # reflect separates knots that 1 - t maps onto one value, and the
@@ -260,21 +272,21 @@ class TestBvp3Quadrature:
     def test_matches_closed_form(self, params, gamma):
         d, dx, dy = params
         f = BVP3(delta=d, delta_x=dx, delta_y=dy)
-        want = closed_cw(f, WeightFunction.power(gamma)).value
-        assert quad2_bvp3_moment(f, gamma) == pytest.approx(want, abs=1e-9)
+        w = WeightFunction.power(gamma)
+        assert hoeffding_cw(f, w) == pytest.approx(closed_cw(f, w).value, abs=1e-9)
 
     @settings(max_examples=20, deadline=None)
     @given(delta=st.floats(0.05, 5.0), dx=st.floats(0.01, 5.0), dy=st.floats(0.01, 5.0),
            gamma=st.floats(0.01, 10.0))
     def test_domain_sweep(self, delta, dx, dy, gamma):
         assume(delta + dx > 1.0)
-        f = BVP3(delta=delta, delta_x=dx, delta_y=dy)
-        want = closed_cw(f, WeightFunction.power(gamma)).value
+        f, w = BVP3(delta=delta, delta_x=dx, delta_y=dy), WeightFunction.power(gamma)
+        want = closed_cw(f, w).value
         # warnings are errors inside the body only: under a filterwarnings
         # mark a failing example ends in a pytest INTERNALERROR instead
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = quad2_bvp3_moment(f, gamma)
+            got = hoeffding_cw(f, w)
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_stalled_integral_raises_with_its_estimate(self, monkeypatch):
@@ -289,14 +301,15 @@ class TestBvp3Quadrature:
         stalled = functools.partial(scipy.integrate.tanhsinh, maxlevel=2)
         monkeypatch.setattr(scipy.integrate, "tanhsinh", stalled)
         with pytest.raises(QuadratureError, match="Hoeffding") as info:
-            quad2_bvp3_moment(BVP3(delta=1.0, delta_x=0.02, delta_y=0.01), 0.1,
-                              QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14))
+            hoeffding_cw(BVP3(delta=1.0, delta_x=0.02, delta_y=0.01),
+                         WeightFunction.power(0.1),
+                         QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14))
         assert info.value.estimate < 0.0 and info.value.error_estimate > 0.0
 
     def test_bvp1_reduction(self):
         # delta_x = delta_y -> 0: oracle Gamma_gamma -> 1/delta
         f = BVP3(delta=2.0, delta_x=1e-8, delta_y=1e-8)
-        assert quad2_bvp3_moment(f, 1.0) == pytest.approx(0.5, abs=1e-4)
+        assert hoeffding_cw(f, WeightFunction.identity()) == pytest.approx(0.5, abs=1e-4)
 
     def test_bvp2_reduction(self):
         # delta_x -> 0: oracle matches the BVP2 closed form
@@ -304,11 +317,117 @@ class TestBvp3Quadrature:
         f = BVP3(delta=delta, delta_x=1e-8, delta_y=dy)
         dys = delta + dy
         want = (1.0 / delta) * (delta * (g + 1) - 1.0) / (dys * (g + 1) - 1.0)
-        assert quad2_bvp3_moment(f, g) == pytest.approx(want, abs=1e-4)
+        assert hoeffding_cw(f, WeightFunction.power(g)) == pytest.approx(want, abs=1e-4)
 
     def test_moment_precondition(self):
         with pytest.raises(MomentError):
-            quad2_bvp3_moment(BVP3(delta=0.5, delta_x=0.3, delta_y=0.5), 1.0)
+            hoeffding_cw(BVP3(delta=0.5, delta_x=0.3, delta_y=0.5), WeightFunction.identity())
+
+
+@st.composite
+def _pareto_families(draw):
+    """BVP1, BVP2 or BVP3 with both tail indices in [1.01, 15]."""
+    kind = draw(st.sampled_from(["bvp1", "bvp2", "bvp3"]))
+    if kind == "bvp1":
+        return BVP1(delta=draw(st.floats(1.01, 10.0)))
+    if kind == "bvp2":
+        return BVP2(delta=draw(st.floats(1.01, 10.0)), delta_y=draw(st.floats(0.01, 5.0)))
+    delta = draw(st.floats(0.05, 5.0))
+    return BVP3(delta=delta, delta_x=draw(st.floats(max(0.01, 1.01 - delta), 10.0)),
+                delta_y=draw(st.floats(0.01, 5.0)))
+
+
+@st.composite
+def _any_weights(draw):
+    """Any weight kind; a table rises by at least 0.01, with knots 0 or >= 1e-6.
+
+    The quadrature tolerances are absolute, so a weight whose covariances
+    are far below them (all of its rise below t ~ 1e-14, or a rise of
+    1e-300) is outside what they resolve to 1e-9.
+    """
+    kind = draw(st.sampled_from(["identity", "power", "beta_cdf", "table"]))
+    if kind == "identity":
+        return WeightFunction.identity()
+    if kind == "power":
+        return WeightFunction.power(draw(st.floats(0.01, 10.0)))
+    if kind == "beta_cdf":
+        return WeightFunction.beta_cdf(draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)))
+    knot = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    ts = sorted(set(draw(st.lists(knot, min_size=2, max_size=5))))
+    vs = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=len(ts), max_size=len(ts))))
+    assume(len(ts) >= 2 and vs[-1] - vs[0] >= 0.01)
+    return WeightFunction.table(ts, vs)
+
+
+# heavy-tail points each of which a simpler inner integral gets wrong: one
+# rule over all of t (the two BVP2 points, off by 1.4e-8 and 2.4e-9 with
+# status 0; BVP1(1.01) fails to converge), a split in t alone above the
+# ridge (the second BVP2 point), a narrow table interval in s (the step)
+HOEFFDING_CORNERS = [
+    (BVP1(delta=1.01), WeightFunction.power(0.01)),
+    (BVP1(delta=1.01), WeightFunction.beta_cdf(0.5, 0.5)),
+    (BVP1(delta=1.01), WeightFunction.beta_cdf(0.2, 5.0)),
+    (BVP1(delta=1.01), WeightFunction.table([0.0, 1e-6, 0.3, 1.0], [0.0, 0.2, 0.5, 1.0])),
+    (BVP1(delta=1.01), WeightFunction.table([0.0, 0.5, 0.5000001, 1.0], [0.0, 0.0, 1.0, 1.0])),
+    (BVP2(delta=1.22231, delta_y=0.0170751), WeightFunction.power(0.0718505)),
+    (BVP2(delta=1.27053, delta_y=0.0481117), WeightFunction.power(0.12479)),
+]
+
+
+class TestHoeffdingCw:
+    """One Hoeffding-identity oracle for the three Pareto families and every weight."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=_pareto_families(), w=_any_weights())
+    def test_domain_sweep(self, f, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hoeffding_cw(f, w)
+        if not isinstance(f, BVP3):
+            assert got == pytest.approx(cw_via_regression(f, w).value, abs=1e-9)
+        if isinstance(f, BVP1) or w.kind != "table" and (
+                isinstance(f, BVP2) or w.kind != "beta_cdf"):
+            assert got == pytest.approx(closed_cw(f, w).value, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("f,w", HOEFFDING_CORNERS)
+    def test_heavy_tail_corners(self, f, w):
+        got = hoeffding_cw(f, w)
+        assert got == pytest.approx(cw_via_regression(f, w).value, abs=1e-9)
+        if w.kind != "table":
+            assert got == pytest.approx(closed_cw(f, w).value, abs=1e-9)
+
+    @pytest.mark.parametrize("w", [WeightFunction.beta_cdf(2.0, 2.0),
+                                   WeightFunction.table([0.0, 0.4, 1.0], [0.0, 0.1, 1.0])])
+    def test_bvp3_weights_without_closed_form_vs_monte_carlo(self, w):
+        f = BVP3(delta=1.5, delta_x=1.5, delta_y=1.0)
+        mean, se = mc_reference(f, "cw", 50_000, seed=7, replications=12, weight=w)
+        assert abs(hoeffding_cw(f, w) - mean) < 4 * se
+
+    @pytest.mark.parametrize("params,gamma,want", [
+        ((1.5, 1.5, 1.0), 1.0, 0.17402262168147134),
+        ((1.5, 1.5, 1.0), 2.0, 0.18326037866733982),
+        ((1.2, 0.3, 0.2), 0.5, 0.4910845252142001)])
+    def test_quad2_bvp3_moment_values(self, params, gamma, want):
+        # quad2_bvp3_moment is hoeffding_cw with a power weight; values frozen
+        # from its nested tanh-sinh over all of t before the ridge split
+        d, dx, dy = params
+        f = BVP3(delta=d, delta_x=dx, delta_y=dy)
+        assert quad2_bvp3_moment(f, gamma) == pytest.approx(want, abs=1e-13)
+
+    def test_beta_a_1_is_power(self):
+        f = BVP3(delta=1.0, delta_x=0.02, delta_y=0.01)
+        for a in (0.1, 1.0, 3.0):
+            assert hoeffding_cw(f, WeightFunction.beta_cdf(a, 1.0)) == pytest.approx(
+                hoeffding_cw(f, WeightFunction.power(a)), abs=1e-12)
+
+    def test_typed_errors(self):
+        with pytest.raises(DomainError, match="Pareto"):
+            hoeffding_cw(Normal(rho=0.5), WeightFunction.identity())
+        with pytest.raises(MomentError):
+            hoeffding_cw(BVP1(delta=1.0), WeightFunction.identity())
+        with pytest.raises(DegenerateSampleError, match="constant weight"):
+            hoeffding_cw(BVP2(delta=2.1, delta_y=0.5), WeightFunction.table((0, 1), (0.5, 0.5)))
 
 
 class TestMcReference:
