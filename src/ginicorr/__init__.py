@@ -53,8 +53,7 @@ from .gini import (
     lambda_w_empirical,
     lambda_w_margin,
 )
-from .oracle import (QuadratureSpec, hoeffding_cw, mc_reference, quad2_bvp3_moment,
-                     quad_cov_margin)
+from .oracle import hoeffding_cw, mc_reference, quad2_bvp3_moment, quad_cov_margin
 from .specfun import HypergeometricSpec, hyp_pfq, ln_beta, reg_inc_beta
 from .weights import WeightFunction, reflect
 from .wipm import (

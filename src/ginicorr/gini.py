@@ -40,7 +40,6 @@ from .errors import (
     MomentError,
     UnsupportedPairError,
 )
-from .oracle import DEFAULT_QUAD, QuadratureSpec
 from .specfun import HypergeometricSpec, hyp_pfq, ln_beta
 from .weights import WeightFunction, reflect
 
@@ -240,34 +239,32 @@ def lambda_w_empirical(xs, w: WeightFunction) -> float:
                       _rank_weights(w, n + 1.0 - r, n))
 
 
-def lambda_w_margin(margin, w: WeightFunction,
-                    spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def lambda_w_margin(margin, w: WeightFunction) -> float:
     """Population lambda_w of a parametric margin by tail-variable quadrature.
 
     lambda_w = Cov[X, w(F_X)] / Cov[X, w*(F_X)] = Cov[X, w*(1-F_X)] / Cov[X, w(1-F_X)],
     since w(F) = 1 - w*(1-F) for the reflected weight w* = reflect(w).
     """
-    cov_sf = _oracle.quad_cov_margin(margin, w, spec)
+    cov_sf = _oracle.quad_cov_margin(margin, w)
     if cov_sf == 0.0:
         raise DegenerateSampleError("lambda_w undefined: constant weight")
-    return _oracle.quad_cov_margin(margin, reflect(w), spec) / cov_sf
+    return _oracle.quad_cov_margin(margin, reflect(w)) / cov_sf
 
 
-def lambda_w(x, w: WeightFunction, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def lambda_w(x, w: WeightFunction) -> float:
     """Dispatch: sample arrays / PairedSample xs -> ranks, margins -> quadrature."""
     if isinstance(x, PairedSample):
         return lambda_w_empirical(x.xs, w)
     if isinstance(x, (np.ndarray, list, tuple)):
         return lambda_w_empirical(np.asarray(x, dtype=float), w)
-    return lambda_w_margin(x, w, spec)
+    return lambda_w_margin(x, w)
 
 
 # ---------------------------------------------------------------------------
 # marginal covariance building blocks
 # ---------------------------------------------------------------------------
 
-def cov_x_weighted(m: ParetoIIMargin, w: WeightFunction,
-                   spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def cov_x_weighted(m: ParetoIIMargin, w: WeightFunction) -> float:
     """Cov[X, w(1 - F_X(X))] for a Pareto II margin.
 
     Closed forms for power weights,
@@ -284,7 +281,7 @@ def cov_x_weighted(m: ParetoIIMargin, w: WeightFunction,
         return -(gamma / (gamma + 1.0)) * sig * d / ((d - 1.0) * (d * (gamma + 1.0) - 1.0))
     if w.kind == "beta_cdf":
         return (sig * d / (d - 1.0)) * _beta_shape(d, w.a, w.b)
-    return _oracle.quad_cov_margin(m, w, spec)
+    return _oracle.quad_cov_margin(m, w)
 
 
 def _beta_shape(d: float, a: float, b: float) -> float:
@@ -292,23 +289,23 @@ def _beta_shape(d: float, a: float, b: float) -> float:
     return 1.0 - math.exp(ln_beta(a + 1.0 - 1.0 / d, b) - ln_beta(a, b)) - b / (a + b)
 
 
-def _cov_margin_weighted(margin, w: WeightFunction, spec: QuadratureSpec):
+def _cov_margin_weighted(margin, w: WeightFunction):
     """Cov[X, w(1-F_X)] with the quadrature error estimate and evaluations.
 
     A Pareto closed form contributes (value, 0.0, 0).
     """
     if isinstance(margin, ParetoIIMargin) and w.kind != "table":
-        return cov_x_weighted(margin, w, spec), 0.0, 0
-    return _oracle._tail_cov(margin, w, spec)
+        return cov_x_weighted(margin, w), 0.0, 0
+    return _oracle._tail_cov(margin, w)
 
 
-def _margin_covs(f: BivariateFamily, w: WeightFunction, spec: QuadratureSpec):
+def _margin_covs(f: BivariateFamily, w: WeightFunction):
     """(Cov[X, w(1-F_X)], Cov[Y, w(1-F_Y)], quadrature diagnostics) of f's margins.
 
     A constant weight has no C_w: it raises DegenerateSampleError.
     """
     (cov_x, err_x, n_x), (cov_y, err_y, n_y) = (
-        _cov_margin_weighted(m, w, spec) for m in margins(f))
+        _cov_margin_weighted(m, w) for m in margins(f))
     if cov_x == 0.0 or cov_y == 0.0:
         raise DegenerateSampleError("C_w undefined: constant weight")
     return cov_x, cov_y, {"quad_error": err_x + err_y, "quad_nfev": n_x + n_y}
@@ -327,7 +324,17 @@ def _bvp2_beta(delta: float, dys: float, a: float, b: float) -> float:
 
 
 def _bvp3_closed(f: BVP3, gamma: float) -> tuple[float, dict]:
-    """bvp3_closed_gamma with the diagnostics of the series it summed."""
+    """Extended Gini correlation of BVP3 from the triple-index expansion.
+
+    Sums 3F2(delta+i3, 2, 1; dX*+i1+i3, (gamma+1) dY*+i2+i3; 1) over the
+    density triplets, weighted by the coefficients of the density's mixed
+    partial derivative, and assembles the covariance ratio from the exact
+    uniform moments.  Needs dX* > 1, which makes the convergence margin
+    h = delta_x + (gamma+1) dY* - 1 exceed dX* - 1 > 0.  Every series
+    has 1 < dX*+i1+i3 and 1 < (gamma+1) dY*+i2+i3, so hyp_pfq sums it at
+    margin max(h, 1) or more (Thomae's transformation when h < 1).
+    Returns the value and the diagnostics of the series summed.
+    """
     from .distributions import bvp3_pdf_terms
 
     if not gamma > 0.0:
@@ -349,20 +356,6 @@ def _bvp3_closed(f: BVP3, gamma: float) -> tuple[float, dict]:
               "series_margin": min(v.margin for v in sums),
               "series_terms": sum(v.terms for v in sums)}
     return cov_num / cov_den, detail
-
-
-def bvp3_closed_gamma(f: BVP3, gamma: float) -> float:
-    """Extended Gini correlation of BVP3 from the triple-index expansion.
-
-    Sums 3F2(delta+i3, 2, 1; dX*+i1+i3, (gamma+1) dY*+i2+i3; 1) over the
-    density triplets, weighted by the coefficients of the density's mixed
-    partial derivative, and assembles the covariance ratio from the exact
-    uniform moments.  Needs dX* > 1, which makes the convergence margin
-    h = delta_x + (gamma+1) dY* - 1 exceed dX* - 1 > 0.  Every series
-    has 1 < dX*+i1+i3 and 1 < (gamma+1) dY*+i2+i3, so hyp_pfq sums it at
-    margin max(h, 1) or more (Thomae's transformation when h < 1).
-    """
-    return _bvp3_closed(f, gamma)[0]
 
 
 def closed_cw(f: BivariateFamily, w: WeightFunction) -> CorrelationReport:
@@ -407,8 +400,7 @@ def closed_cw(f: BivariateFamily, w: WeightFunction) -> CorrelationReport:
     return CorrelationReport(float(value), "closed_form", None, w.describe(), detail)
 
 
-def cw_via_regression(f: BivariateFamily, w: WeightFunction,
-                      spec: QuadratureSpec = DEFAULT_QUAD) -> CorrelationReport:
+def cw_via_regression(f: BivariateFamily, w: WeightFunction) -> CorrelationReport:
     """C_w through the regression identity: beta times a covariance ratio.
 
     Requires the family to have a linear regression of X on Y (everything
@@ -420,7 +412,7 @@ def cw_via_regression(f: BivariateFamily, w: WeightFunction,
     constant weight raises DegenerateSampleError.
     """
     line = regression_line(f)
-    cov_x, cov_y, diag = _margin_covs(f, w, spec)
+    cov_x, cov_y, diag = _margin_covs(f, w)
     return CorrelationReport(
         float(line.beta * cov_y / cov_x), "regression_route", None, w.describe(),
         {"alpha": line.alpha, "beta": line.beta, **diag},

@@ -15,8 +15,6 @@ Everything here is trusted *before* any closed form and arbitrates them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .distributions import (
@@ -35,17 +33,9 @@ from .specfun import ln_beta
 from .weights import WeightFunction, reflect
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise DomainError("quadrature tolerances must be positive")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# Tolerances of every covariance quadrature, read at each call
+QUAD_ABS_TOL = 1e-10
+QUAD_REL_TOL = 1e-8
 
 
 def _tail_power(tail_index: float) -> float:
@@ -92,7 +82,7 @@ def _tanhsinh(f, lo, hi, args=(), **kw):
     return out
 
 
-def _tail_cov(margin, w: WeightFunction, spec: QuadratureSpec):
+def _tail_cov(margin, w: WeightFunction):
     """Cov[X, w(1 - F_X(X))] by tanh-sinh: (value, error estimate, evaluations).
 
     Integrates the one centred integrand Qbar(t) (w(t) - wbar) over the tail
@@ -127,7 +117,7 @@ def _tail_cov(margin, w: WeightFunction, spec: QuadratureSpec):
     t_edges = np.unique(np.concatenate([[0.0, end], kinks[(kinks > 0.0) & (kinks < end)]]))
     edges = t_edges ** (1.0 / k)
     value, error, status, nfev = _tanhsinh(f, edges[:-1], edges[1:], minlevel=3,
-                                           atol=spec.abs_tol, rtol=spec.rel_tol)
+                                           atol=QUAD_ABS_TOL, rtol=QUAD_REL_TOL)
     value, error, nfev = float(value.sum()), float(error.sum()), int(nfev.sum())
     if np.any(status != 0):
         raise QuadratureError(
@@ -138,22 +128,20 @@ def _tail_cov(margin, w: WeightFunction, spec: QuadratureSpec):
     return value, error, nfev
 
 
-def quad_cov_margin(margin, w: WeightFunction,
-                    spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def quad_cov_margin(margin, w: WeightFunction) -> float:
     """Cov[X, w(1 - F_X(X))] by tail-variable tanh-sinh quadrature.
 
     `margin` is a ParetoIIMargin, NormalMargin or StudentTMargin.  Requires
     a finite mean.
     """
-    return _tail_cov(margin, w, spec)[0]
+    return _tail_cov(margin, w)[0]
 
 
 # ---------------------------------------------------------------------------
 # Pareto oracle from Hoeffding's identity
 # ---------------------------------------------------------------------------
 
-def hoeffding_cw(f: BivariateFamily, w: WeightFunction,
-                 spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def hoeffding_cw(f: BivariateFamily, w: WeightFunction) -> float:
     """Weighted Gini correlation of BVP1, BVP2 or BVP3 by quadrature alone.
 
     All three have S - S_X S_Y = S_X S_Y expm1(delta L), L = -log(p + q (1-p)),
@@ -174,7 +162,7 @@ def hoeffding_cw(f: BivariateFamily, w: WeightFunction,
     t, v = w.knots_t, w.knots_w
     if w.kind == "table" and v[-1] > v[0]:  # C_w is that of (w - w(0)) / (w(1) - w(0))
         w = WeightFunction.table(t, (v - v[0]) / (v[-1] - v[0]))
-    cov_den = quad_cov_margin(ParetoIIMargin(0.0, 1.0, dxs), w, spec)  # rejects dX* <= 1
+    cov_den = quad_cov_margin(ParetoIIMargin(0.0, 1.0, dxs), w)  # rejects dX* <= 1
     if cov_den == 0.0:
         raise DegenerateSampleError("C_w undefined: constant weight")
     if w.kind == "table":       # s = v = s0 + r ds, dw = rise dr, r in [0, 1]
@@ -188,7 +176,7 @@ def hoeffding_cw(f: BivariateFamily, w: WeightFunction,
         p, b, s0, ds, scale = w.gamma, 1.0, np.zeros(1), np.ones(1), np.ones(1)
     k = _tail_power(dxs)
     cx, px = k / dxs, k * (1.0 - 1.0 / dxs) - 1.0
-    tol = dict(minlevel=3, atol=spec.abs_tol * 1e-4, rtol=spec.rel_tol * 1e-4)
+    tol = dict(minlevel=3, atol=QUAD_ABS_TOL * 1e-4, rtol=QUAD_REL_TOL * 1e-4)
     inner_fails, inner_error = 0, 0.0
 
     def bracket(t, lq):
@@ -223,7 +211,7 @@ def hoeffding_cw(f: BivariateFamily, w: WeightFunction,
 
     value, error, status, _ = _tanhsinh(inner, np.zeros_like(s0), np.ones_like(s0),
                                         args=(s0, ds, scale), minlevel=3,
-                                        atol=spec.abs_tol * 1e-2, rtol=spec.rel_tol * 1e-2)
+                                        atol=QUAD_ABS_TOL * 1e-2, rtol=QUAD_REL_TOL * 1e-2)
     cov_num = -float(value.sum())
     if np.any(status != 0) or inner_fails:
         raise QuadratureError(
@@ -234,9 +222,9 @@ def hoeffding_cw(f: BivariateFamily, w: WeightFunction,
     return cov_num / cov_den
 
 
-def quad2_bvp3_moment(f: BVP3, gamma: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def quad2_bvp3_moment(f: BVP3, gamma: float) -> float:
     """hoeffding_cw with the power weight t^gamma, the name bench/ imports."""
-    return hoeffding_cw(f, WeightFunction.power(gamma), spec)
+    return hoeffding_cw(f, WeightFunction.power(gamma))
 
 
 # ---------------------------------------------------------------------------

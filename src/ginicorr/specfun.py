@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, SeriesCapError
 
-# Series controls: relative truncation tolerance and hard term cap.
+# Series controls, read at each call: relative truncation tolerance and
+# hard term cap.
 SERIES_REL_TOL = 1e-12
 SERIES_TERM_CAP = 200_000
 
@@ -139,7 +140,7 @@ class _UnitSum(float):
         return out
 
 
-def _sum_unit_argument(spec: HypergeometricSpec, rel_tol: float, cap: int,
+def _sum_unit_argument(spec: HypergeometricSpec,
                        representation: str = "direct") -> tuple[float, int]:
     """Positive-term series at z = 1 with an algebraic tail correction.
 
@@ -147,7 +148,7 @@ def _sum_unit_argument(spec: HypergeometricSpec, rel_tol: float, cap: int,
     order t_k * k / h.  We instead add the Euler-Maclaurin tail estimate
         T_k = t_k * (k/h + 1/2 - e1 / (h (1+h))),
     e1 = (h + sum a^2 - sum b^2) / 2, whose residual shrinks like
-    T_k / k^2, and stop once that residual estimate clears rel_tol.
+    T_k / k^2, and stop once that residual estimate clears SERIES_REL_TOL.
     Returns the sum and the number of terms summed; `representation` only
     names the series in the SeriesCapError message.
     """
@@ -159,7 +160,7 @@ def _sum_unit_argument(spec: HypergeometricSpec, rel_tol: float, cap: int,
     log_t = 0.0
     t = 1.0
     prev = math.inf
-    for k in range(cap):
+    for k in range(SERIES_TERM_CAP):
         y = t - comp
         tt = s + y
         comp = (tt - s) - y
@@ -174,16 +175,16 @@ def _sum_unit_argument(spec: HypergeometricSpec, rel_tol: float, cap: int,
                 tail = t * mult
                 # residual of (sum + tail) decays ~ tail / k^2; 5x safety margin
                 # (measured residual is 50-3000x below tail/k^2 for h in [0.5, 5])
-                if tail * 5.0 <= rel_tol * abs(s) * kk * kk:
+                if tail * 5.0 <= SERIES_REL_TOL * abs(s) * kk * kk:
                     return s + tail, kk
     raise SeriesCapError(
-        f"series cap {cap} reached at z=1 in the {representation} "
+        f"series cap {SERIES_TERM_CAP} reached at z=1 in the {representation} "
         f"representation (margin {h:.6g}); partial sum {s!r}",
-        partial_sum=s, last_term=t, terms=cap,
+        partial_sum=s, last_term=t, terms=SERIES_TERM_CAP,
     )
 
 
-def _sum_at_one(spec: HypergeometricSpec, rel_tol: float, cap: int) -> _UnitSum:
+def _sum_at_one(spec: HypergeometricSpec) -> _UnitSum:
     """z = 1 sum in whichever representation has the larger margin.
 
     Thomae's transformation (DLMF 16.4.11) pivoting on an upper parameter
@@ -198,21 +199,20 @@ def _sum_at_one(spec: HypergeometricSpec, rel_tol: float, cap: int) -> _UnitSum:
     pivots = ([a for a in spec.upper if h < a < min(spec.lower)]
               if len(spec.upper) == 3 else [])
     if not pivots:
-        value, terms = _sum_unit_argument(spec, rel_tol, cap)
+        value, terms = _sum_unit_argument(spec)
         return _UnitSum(value, "direct", h, terms)
     a = max(pivots)
     rest = list(spec.upper)
     rest.remove(a)
     (b, c), (d, e) = rest, spec.lower
     thomae = HypergeometricSpec((d - a, e - a, h), (h + b, h + c), 1.0)
-    value, terms = _sum_unit_argument(thomae, rel_tol, cap, "thomae")
+    value, terms = _sum_unit_argument(thomae, "thomae")
     log_pre = (math.lgamma(d) + math.lgamma(e) + math.lgamma(h) - math.lgamma(a)
                - math.lgamma(h + b) - math.lgamma(h + c))
     return _UnitSum(math.exp(log_pre) * value, "thomae", a, terms)
 
 
-def hyp_pfq(spec: HypergeometricSpec, rel_tol: float = SERIES_REL_TOL,
-            term_cap: int = SERIES_TERM_CAP) -> float:
+def hyp_pfq(spec: HypergeometricSpec) -> float:
     """Sum of the generalized hypergeometric series for `spec`.
 
     Deterministic; raises ConvergenceError when h <= 0 and SeriesCapError
@@ -225,10 +225,8 @@ def hyp_pfq(spec: HypergeometricSpec, rel_tol: float = SERIES_REL_TOL,
     summed directly.  The float returned also carries `representation`,
     `margin` and `terms`.
     """
-    if not rel_tol > 0.0:
-        raise DomainError(f"rel_tol must be > 0, got {rel_tol}")
     if spec.h <= 0.0:
         raise ConvergenceError(
             f"series diverges at z=1: convergence margin h={spec.h:.6g} <= 0"
         )
-    return _sum_at_one(spec, rel_tol, term_cap)
+    return _sum_at_one(spec)

@@ -34,7 +34,6 @@ from .errors import (
     NoLinearRegressionError,
     UnsupportedPairError,
 )
-from .oracle import DEFAULT_QUAD, QuadratureSpec
 from .weights import WeightFunction
 
 ORIENTATIONS = ("survival", "risk_loading")
@@ -139,16 +138,14 @@ def gini_premium(s: PairedSample, w: WeightFunction,
                          {"n": s.n, "orientation": orientation})
 
 
-def margin_gini_premium(margin, w: WeightFunction,
-                        spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def margin_gini_premium(margin, w: WeightFunction) -> float:
     """Population pi_{G,w}[Y] = E[Y] + Cov[Y, w(1-F_Y)] / E[w(U)] for a margin."""
     ew = w.mean_on_unit()
-    cov = _gini._cov_margin_weighted(margin, w, spec)[0]
+    cov = _gini._cov_margin_weighted(margin, w)[0]
     return margin.mean() + cov / ew
 
 
-def gini_wipm_rhs(f_or_s, w: WeightFunction,
-                  spec: QuadratureSpec = DEFAULT_QUAD) -> PremiumResult:
+def gini_wipm_rhs(f_or_s, w: WeightFunction) -> PremiumResult:
     """Right-hand side of the Gini WIPM identity.
 
     E[X] + C_w[X,Y] (Cov[X, w(1-F_X)] / Cov[Y, w(1-F_Y)]) (pi_{G,w}[Y] - E[Y]),
@@ -186,7 +183,7 @@ def gini_wipm_rhs(f_or_s, w: WeightFunction,
         )
     line = regression_line(f)  # also rejects infinite-mean regimes
     mx, my = margins(f)
-    cov_x, cov_y, diag = _gini._margin_covs(f, w, spec)
+    cov_x, cov_y, diag = _gini._margin_covs(f, w)
     try:
         cw = _gini.closed_cw(f, w).value
     except UnsupportedPairError:

@@ -25,13 +25,12 @@ from ginicorr.distributions import (
     sample,
 )
 from ginicorr.gini import (
-    bvp3_closed_gamma,
     closed_cw,
     cov_x_weighted,
     empirical_cw,
     lambda_w_empirical,
 )
-from ginicorr.oracle import QuadratureSpec, hoeffding_cw, mc_reference, quad_cov_margin
+from ginicorr.oracle import hoeffding_cw, mc_reference, quad_cov_margin
 from ginicorr.specfun import HypergeometricSpec, hyp_pfq, reg_inc_beta
 from ginicorr.weights import WeightFunction
 from ginicorr.wipm import Portfolio, allocate, gini_premium, gini_wipm_rhs
@@ -191,25 +190,23 @@ def test_criterion_7_bvp3_formula_vs_oracle():
     probe = BVP3(delta=1.5, delta_x=1.5, delta_y=1.0)
     w_id = WeightFunction.identity()
     assert abs(closed_cw(probe, w_id).value - hoeffding_cw(probe, w_id)) < 1e-4
-    spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-8)
     worst = 0.0
     for d in (1.2, 1.8, 2.4):                 # dX* = 3, dY* = 2.5
         for g in (0.5, 1.0, 2.0):
             f = BVP3(delta=d, delta_x=3.0 - d, delta_y=2.5 - d)
-            diff = abs(bvp3_closed_gamma(f, g)
-                       - hoeffding_cw(f, WeightFunction.power(g), spec))
+            w = WeightFunction.power(g)
+            diff = abs(closed_cw(f, w).value - hoeffding_cw(f, w))
             worst = max(worst, diff)
     # limiting reductions of the triple-index formula
     worst_lim1 = max(
-        abs(bvp3_closed_gamma(BVP3(delta=d, delta_x=1e-6, delta_y=1e-6), 1.0)
-            - 1.0 / d)
+        abs(closed_cw(BVP3(delta=d, delta_x=1e-6, delta_y=1e-6), w_id).value - 1.0 / d)
         for d in (1.5, 3.0)
     )
     d, g = 1.8, 1.0
     dys = 2.5
     fs0 = (1.0 / d) * (d * (g + 1) - 1.0) / (dys * (g + 1) - 1.0)
-    lim2 = abs(bvp3_closed_gamma(BVP3(delta=d, delta_x=1e-6, delta_y=dys - d), g)
-               - fs0)
+    lim2 = abs(closed_cw(BVP3(delta=d, delta_x=1e-6, delta_y=dys - d),
+                         WeightFunction.power(g)).value - fs0)
     ok = worst < 1e-4 and worst_lim1 < 1e-3 and lim2 < 1e-3
     _report(7, ok, f"worst |closed - oracle| = {worst:.2e} on the 3x3 grid "
                    f"(tol 1e-4); limits: to-1/delta {worst_lim1:.2e}, "

@@ -180,6 +180,14 @@ class TestSample:
         back = load_pairs_csv(path)
         assert [back.xs.tolist(), back.ys.tolist()] == [payload["x"], payload["y"]]
 
+    def test_json_is_one_line(self, capsys):
+        code, out, _ = run_cli(capsys, "sample", "--family", "bvp1", "--delta", "2.0",
+                               "-n", "50", "--seed", "3", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and len(payload["x"]) == len(payload["y"]) == 50
+        assert out == json.dumps(payload, sort_keys=True) + "\n"
+        assert out.count("\n") == 1
+
 
 @st.composite
 def _csv_texts(draw):
@@ -379,8 +387,8 @@ class TestVerify:
         # cross-check must catch it
         orig = ginicorr.gini.cov_x_weighted
 
-        def flipped(m, w, spec=None):
-            return -orig(m, w) if spec is None else -orig(m, w, spec)
+        def flipped(m, w):
+            return -orig(m, w)
 
         monkeypatch.setattr(ginicorr.verify, "gini", ginicorr.gini)
         monkeypatch.setattr(ginicorr.gini, "cov_x_weighted", flipped)

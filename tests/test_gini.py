@@ -27,7 +27,6 @@ from ginicorr.errors import (
 )
 from ginicorr.gini import (
     _ranks,
-    bvp3_closed_gamma,
     closed_cw,
     cov_x_weighted,
     cw_via_regression,
@@ -466,7 +465,7 @@ class TestClosedCw:
         probe = BVP3(delta=1.5, delta_x=1.5, delta_y=1.0)
         assert abs(closed_cw(probe, W_ID).value - hoeffding_cw(probe, W_ID)) < 1e-4
         f = BVP3(delta=1.8, delta_x=1.2, delta_y=0.7)
-        assert closed_cw(f, W_ID).value == bvp3_closed_gamma(f, 1.0)
+        assert closed_cw(f, W_ID).value == closed_cw(f, WeightFunction.power(1.0)).value
 
     def test_bvp3_matches_quadrature_oracle(self):
         f = BVP3(delta=1.8, delta_x=1.2, delta_y=0.7)

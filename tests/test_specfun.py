@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
 
+from ginicorr import specfun
 from ginicorr.errors import ConvergenceError, DomainError, SeriesCapError
 from ginicorr.specfun import (
     SERIES_TERM_CAP,
@@ -175,21 +176,33 @@ class TestHypPfq:
         with pytest.raises(ConvergenceError):
             hyp_pfq(HypergeometricSpec((2.0, 2.0), (3.5,), 1.0))  # h = -0.5
 
-    def test_cap_error_carries_diagnostics(self):
+    def test_cap_error_carries_diagnostics(self, monkeypatch):
         spec = HypergeometricSpec((2.0, 1.0), (4.5,), 1.0)
+        monkeypatch.setattr(specfun, "SERIES_TERM_CAP", 50)
         with pytest.raises(SeriesCapError) as err:
-            hyp_pfq(spec, term_cap=50)
+            hyp_pfq(spec)
         assert err.value.terms == 50
         assert 0.0 < err.value.partial_sum < 7.0 / 3.0
         assert err.value.last_term > 0.0
 
-    def test_thomae_cap_error_names_representation(self):
+    def test_thomae_cap_error_names_representation(self, monkeypatch):
         # h = 0.5; the pivot a = 1.5 < min(3, 2) makes the summed margin 1.5
         spec = HypergeometricSpec((1.5, 2.0, 1.0), (3.0, 2.0), 1.0)
+        monkeypatch.setattr(specfun, "SERIES_TERM_CAP", 50)
         with pytest.raises(SeriesCapError) as err:
-            hyp_pfq(spec, term_cap=50)
+            hyp_pfq(spec)
         assert "thomae representation (margin 1.5)" in str(err.value)
         assert err.value.terms == 50
+
+    def test_rel_tol_is_read_at_each_call(self, monkeypatch):
+        # 2F1(2, 1; 4.5; 1) = 7/3 by Gauss's sum; a looser stop rule sums fewer
+        # terms and stays within its own tolerance
+        spec = HypergeometricSpec((2.0, 1.0), (4.5,), 1.0)
+        tight = hyp_pfq(spec)
+        monkeypatch.setattr(specfun, "SERIES_REL_TOL", 1e-6)
+        loose = hyp_pfq(spec)
+        assert loose.terms < tight.terms
+        assert loose == pytest.approx(7.0 / 3.0, rel=1e-6)
 
     def test_largest_margin_representation(self):
         # direct margin 4.5 beats every legal pivot: summed as written
