@@ -339,18 +339,18 @@ def cmd_price(args) -> int:
     agg = portfolio.aggregate
     if args.allocate:
         allocs = wipm.allocate(portfolio, w, orientation=args.orientation)
-        total = wipm.gini_premium(PairedSample(agg, agg), w,
-                                  orientation=args.orientation).premium
+        PairedSample(agg, agg)  # refuses an aggregate that overflowed
+        total = allocs[0].detail["aggregate_premium"]
         rows = [[a.detail["column"], a.premium, a.base, a.loading] for a in allocs]
         _write_table(args, meta, header, rows, key="allocations",
                      aggregate_premium=total,
                      allocation_sum=sum(a.premium for a in allocs))
     else:
         rows = []
+        ref = PairedSample(agg, agg)  # every column is priced against one ranking
         for j, name in enumerate(portfolio.names):
-            res = wipm.gini_premium(
-                PairedSample(portfolio.columns[:, j], agg), w,
-                orientation=args.orientation)
+            res = wipm.gini_premium(ref.with_xs(portfolio.columns[:, j]), w,
+                                    orientation=args.orientation)
             rows.append([name, res.premium, res.base, res.loading])
         _write_table(args, meta, header, rows, key="premiums")
     return 0

@@ -42,11 +42,24 @@ _T_CDF_SEED = 20160913
 
 @dataclass(frozen=True)
 class PairedSample:
-    """Two equal-length observation vectors with a provenance record."""
+    """Two equal-length observation vectors with a provenance record.
+
+    A sample's values are fixed after construction: xs and ys are read-only
+    views of the arrays passed in (no copy), so the finiteness check made
+    here and each margin's ranks, computed on first use and kept in a
+    private cache, stay valid for the sample's life.  Writing to the
+    arrays behind the views is outside this contract.  Samples are equal
+    when their values and meta are; the cache takes no part in equality
+    or repr.  A sample built from one array twice, as PairedSample(a, a),
+    ranks it once.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
     meta: dict = field(default_factory=dict)
+    # one single-item list per margin, holding its average ranks once
+    # computed (gini._margin_ranks); swapped() and with_xs() share them
+    _rank_slots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -57,15 +70,49 @@ class PairedSample:
             raise DomainError(f"paired sample needs n >= 3, got {xs.size}")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
             raise DomainError("paired sample values must be finite")
+        slot_x = [None]
+        if ys is xs:
+            xs = ys = _read_only(xs)
+            slot_y = slot_x
+        else:
+            xs, ys, slot_y = _read_only(xs), _read_only(ys), [None]
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "_rank_slots", (slot_x, slot_y))
+
+    def __eq__(self, other):
+        # by value: two samples of the same arrays hold distinct views
+        if not isinstance(other, PairedSample):
+            return NotImplemented
+        return (np.array_equal(self.xs, other.xs) and np.array_equal(self.ys, other.ys)
+                and self.meta == other.meta)
 
     @property
     def n(self) -> int:
         return self.xs.size
 
     def swapped(self) -> "PairedSample":
-        return PairedSample(self.ys, self.xs, dict(self.meta, swapped=True))
+        s = PairedSample(self.ys, self.xs, dict(self.meta, swapped=True))
+        object.__setattr__(s, "_rank_slots", self._rank_slots[::-1])
+        return s
+
+    def with_xs(self, xs) -> "PairedSample":
+        """xs paired with this sample's ys, which keep their ranks.
+
+        Prices several risks against one reference risk with one ranking
+        of it.  The new sample has no provenance record.
+        """
+        s = PairedSample(xs, self.ys)
+        object.__setattr__(s, "_rank_slots", (s._rank_slots[0], self._rank_slots[1]))
+        return s
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a itself if it is read-only, else a read-only view of it."""
+    if a.flags.writeable:
+        a = a.view()
+        a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------

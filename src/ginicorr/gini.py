@@ -61,13 +61,13 @@ class CorrelationReport:
     detail: dict = field(default_factory=dict)
 
 
-def _ranks(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Average ranks of v (ties share their mean rank) and tie-group ids.
+def _ranks(v: np.ndarray) -> np.ndarray:
+    """Average ranks of v: ties share their mean rank.
 
-    One argsort serves both.  A rank r is a half-integer, exact in floating
-    point, so r / (n+1) matches scipy's average ranks over n+1 bit for bit.
-    gid[i] is the index of v[i]'s distinct value in ascending order; the
-    bootstrap ranks a resample from it without sorting again.
+    One argsort.  Without ties the ranks 1..n are scattered through its
+    order; with ties each group's mean rank start + (count+1)/2 is.  A rank
+    is a half-integer, exact in floating point, so r / (n+1) matches
+    scipy's average ranks over n+1 bit for bit.
     """
     n = v.size
     order = np.argsort(v)
@@ -75,11 +75,42 @@ def _ranks(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     new = np.empty(n, dtype=bool)
     new[:1] = True
     np.not_equal(sv[1:], sv[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    counts = np.diff(starts, append=n)
-    gid = np.empty(n, dtype=np.intp)
-    gid[order] = np.cumsum(new) - 1
-    return (starts + (counts + 1) / 2.0)[gid], gid
+    r = np.empty(n)
+    if new.all():
+        r[order] = np.arange(1.0, n + 1.0)
+    else:
+        starts = np.flatnonzero(new)
+        counts = np.diff(starts, append=n)
+        r[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return r
+
+
+def _tie_groups(r: np.ndarray) -> np.ndarray:
+    """Tie-group ids from average ranks r, without sorting again.
+
+    gid[i] is the index of r[i]'s distinct value in ascending order, as
+    np.unique(v, return_inverse=True) gives it for the values v ranked.
+    Distinct values have distinct half-integer average ranks, so
+    k = 2r - 2 labels the groups in order within [0, 2n - 2] and gid
+    numbers the labels present consecutively.
+    """
+    k = (2.0 * r - 2.0).astype(np.intp)
+    present = np.zeros(2 * r.size, dtype=bool)
+    present[k] = True
+    return (np.cumsum(present) - 1)[k]
+
+
+def _margin_ranks(s: PairedSample, j: int) -> np.ndarray:
+    """Average ranks of s.xs (j = 0) or s.ys (j = 1), sorted once per sample.
+
+    The first call ranks the margin and keeps the ranks in the sample's
+    rank cache; later calls, also through s.swapped() and s.with_xs(),
+    return them.  Valid because a sample's values are fixed.
+    """
+    slot = s._rank_slots[j]
+    if slot[0] is None:
+        slot[0] = _ranks(s.ys if j else s.xs)
+    return slot[0]
 
 
 def _rank_weights(w: WeightFunction, r: np.ndarray, n: int) -> np.ndarray:
@@ -165,23 +196,26 @@ def empirical_cw(s: PairedSample, w: WeightFunction, n_boot: int = 200,
     samples by the rearrangement inequality; under heavy ties the average
     ranks can break them slightly, which is documented, not enforced.
 
-    n_boot > 0 attaches a seeded nonparametric-bootstrap standard error;
-    pass 0 to skip it on large inputs.  Each margin is sorted once: a
-    resample is drawn as multiplicity counts over the sample and ranked
-    from those counts and the tie groups, never re-sorted, and w is
+    Each margin is sorted at most once per sample: its ranks are kept in
+    the sample's rank cache, which gini_premium, gini_wipm_rhs and
+    lambda_w share.  n_boot > 0 attaches a seeded nonparametric-bootstrap
+    standard error; pass 0 to skip it on large inputs.  The bootstrap
+    takes the tie groups from the cached ranks without sorting again,
+    draws each resample as multiplicity counts over the sample and ranks
+    it from those counts and the tie groups, never re-sorted, and w is
     evaluated once per possible average rank, not per resample.  Constant
     xs have no C_w: the sample raises DegenerateSampleError and such a
     resample is skipped; detail records n_boot_used and n_boot_skipped.
     """
     n = s.n
-    rx, gx = _ranks(s.xs)
-    ry, gy = _ranks(s.ys)
+    rx, ry = _margin_ranks(s, 0), _margin_ranks(s, 1)
     value = _cw_ratio(s.xs, s.xs - s.xs.mean(), _rank_weights(w, rx, n),
                       _rank_weights(w, ry, n))
     se, detail = None, {}
     if n_boot > 0:
         # w at every average rank a resample can produce: 1, 1.5, ..., n
         table = _rank_weights(w, np.arange(2, 2 * n + 1) / 2.0, n)
+        gx, gy = _tie_groups(rx), _tie_groups(ry)
 
         def stat(xr, yr, sel, cs):
             return _cw_ratio(xr, cs * (xr - (cs @ xr) / n),
@@ -232,8 +266,12 @@ def lambda_w_empirical(xs, w: WeightFunction) -> float:
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise DomainError("lambda_w needs finite sample values")
+    return _lambda_w_ranked(xs, _ranks(xs), w)
+
+
+def _lambda_w_ranked(xs: np.ndarray, r: np.ndarray, w: WeightFunction) -> float:
+    """Sample lambda_w of finite xs with average ranks r."""
     n = xs.size
-    r, _ = _ranks(xs)
     # under average ties rank(-x) = n + 1 - rank(x) exactly
     return -_cw_ratio(xs, xs - xs.mean(), _rank_weights(w, r, n),
                       _rank_weights(w, n + 1.0 - r, n))
@@ -252,9 +290,12 @@ def lambda_w_margin(margin, w: WeightFunction) -> float:
 
 
 def lambda_w(x, w: WeightFunction) -> float:
-    """Dispatch: sample arrays / PairedSample xs -> ranks, margins -> quadrature."""
+    """Dispatch: sample arrays / PairedSample xs -> ranks, margins -> quadrature.
+
+    A PairedSample's xs are ranked through its rank cache.
+    """
     if isinstance(x, PairedSample):
-        return lambda_w_empirical(x.xs, w)
+        return _lambda_w_ranked(x.xs, _margin_ranks(x, 0), w)
     if isinstance(x, (np.ndarray, list, tuple)):
         return lambda_w_empirical(np.asarray(x, dtype=float), w)
     return lambda_w_margin(x, w)

@@ -182,7 +182,7 @@ def _check_classical_vs_gini_normal():
     s = sample(Normal(rho=0.5), 100_000, seed=4242)
     w = WeightFunction.power(2.0)
     g = wipm.gini_premium(s, w).premium
-    wv = gini._rank_weights(w, gini._ranks(s.ys)[0], s.n)
+    wv = gini._rank_weights(w, gini._margin_ranks(s, 1), s.n)
     cls = wipm.classical_wipm_rhs(s, lambda y: np.interp(y, np.sort(s.ys),
                                                          wv[np.argsort(s.ys)]))
     err = abs(cls.premium - g)

@@ -87,10 +87,11 @@ class Portfolio:
         return cls(tuple(names), data)
 
 
-def _rank_weights(ys: np.ndarray, w: WeightFunction, orientation: str) -> np.ndarray:
+def _rank_weights(r: np.ndarray, w: WeightFunction, orientation: str) -> np.ndarray:
+    """w(1 - F) in the given orientation at the average ranks r."""
     if orientation not in ORIENTATIONS:
         raise DomainError(f"orientation must be one of {ORIENTATIONS}")
-    wv = _gini._rank_weights(w, _gini._ranks(ys)[0], ys.size)
+    wv = _gini._rank_weights(w, r, r.size)
     if orientation == "risk_loading":
         wv = 1.0 - wv
     return wv
@@ -133,7 +134,7 @@ def gini_premium(s: PairedSample, w: WeightFunction,
     transforms of Y and scale-equivariant in X.  See the module docstring
     for the orientation of the weight and the sign of the loading.
     """
-    premium = _premium(s.xs, _rank_weights(s.ys, w, orientation))
+    premium = _premium(s.xs, _rank_weights(_gini._margin_ranks(s, 1), w, orientation))
     return PremiumResult(premium, float(s.xs.mean()), "empirical",
                          {"n": s.n, "orientation": orientation})
 
@@ -161,8 +162,8 @@ def gini_wipm_rhs(f_or_s, w: WeightFunction) -> PremiumResult:
     """
     if isinstance(f_or_s, PairedSample):
         s = f_or_s
-        wx = _gini._rank_weights(w, _gini._ranks(s.xs)[0], s.n)
-        wy = _gini._rank_weights(w, _gini._ranks(s.ys)[0], s.n)
+        wx = _gini._rank_weights(w, _gini._margin_ranks(s, 0), s.n)
+        wy = _gini._rank_weights(w, _gini._margin_ranks(s, 1), s.n)
         dev_x = s.xs - s.xs.mean()
         dev_y = s.ys - s.ys.mean()
         cw = _gini._cw_ratio(s.xs, dev_x, wx, wy)
@@ -220,22 +221,26 @@ def allocate(p: Portfolio, w: WeightFunction,
 
     Column j receives E[X_j w(1 - F_S(S))] / E[w(1 - F_S(S))]; by linearity
     of the numerator the allocations sum to the aggregate premium
-    pi_{G,w}[S] exactly (up to floating summation).
+    pi_{G,w}[S] exactly (up to floating summation).  Each detail map
+    records that premium as aggregate_premium, from the same ranking of S;
+    it equals gini_premium(PairedSample(S, S)).
     """
     if len(p.names) < 2:
         raise DomainError("allocation needs at least 2 columns")
     agg = p.aggregate
     if np.ptp(agg) == 0.0:
         raise DegenerateSampleError("aggregate risk is constant")
-    wv = _rank_weights(agg, w, orientation)
+    wv = _rank_weights(_gini._ranks(agg), w, orientation)
     if np.ptp(wv) == 0.0:
         raise DegenerateSampleError("weight is constant on the aggregate's ranks")
     total = wv.sum()
+    aggregate = float((agg @ wv) / total)
     out = []
     for j, name in enumerate(p.names):
         col = p.columns[:, j]
         out.append(PremiumResult(
             float((col @ wv) / total), float(col.mean()), "empirical",
-            {"column": name, "orientation": orientation},
+            {"column": name, "orientation": orientation,
+             "aggregate_premium": aggregate},
         ))
     return out

@@ -371,6 +371,26 @@ class TestPrice:
             [r["column"], *(format(r[k], ".12g") for k in ("premium", "base", "loading"))]
             for r in rows]
 
+    @pytest.mark.parametrize("allocate", [[], ["--allocate"]])
+    def test_ranks_the_aggregate_once(self, capsys, monkeypatch, tmp_path, allocate):
+        rng = np.random.default_rng(2)
+        path = tmp_path / "three.csv"
+        path.write_text("a,b,c\n" + "\n".join(
+            ",".join(repr(float(v)) for v in row)
+            for row in rng.standard_gamma(2.0, (200, 3))) + "\n")
+        ranked = []
+        kernel = ginicorr.gini._ranks
+
+        def recording(v):
+            ranked.append(v)
+            return kernel(v)
+
+        monkeypatch.setattr(ginicorr.gini, "_ranks", recording)
+        code, _, _ = run_cli(capsys, "price", "--portfolio", str(path),
+                             "--weight", "beta:2,2", *allocate)
+        assert code == 0
+        assert len(ranked) == 1
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "price", "--portfolio", "/nope.csv")
         assert code == 2

@@ -18,6 +18,7 @@ from ginicorr.distributions import (
     BVP3,
     EllipticalT,
     Normal,
+    PairedSample,
     ParetoIIMargin,
     bvp3_pdf_terms,
     chunk_seeds,
@@ -33,6 +34,8 @@ from ginicorr.errors import (
     NoLinearRegressionError,
     UnsupportedPairError,
 )
+from ginicorr.gini import empirical_cw
+from ginicorr.weights import WeightFunction
 
 ALL_FAMILIES = [
     Normal(rho=0.5),
@@ -337,3 +340,32 @@ class TestValidation:
     def test_sample_needs_n(self):
         with pytest.raises(DomainError):
             sample(BVP1(delta=2.0), 0, seed=1)
+
+
+class TestPairedSample:
+    def test_values_are_read_only_views(self):
+        xs, ys = np.arange(5.0), np.arange(5.0) ** 2
+        s = PairedSample(xs, ys)
+        assert np.shares_memory(s.xs, xs) and np.shares_memory(s.ys, ys)
+        for margin in (s.xs, s.ys, s.swapped().xs, s.with_xs(ys).xs):
+            with pytest.raises(ValueError):
+                margin[0] = 1.0
+        xs[0] = -1.0  # the caller's own array stays writable
+        assert s.xs[0] == -1.0
+
+    def test_equality_and_repr_ignore_the_rank_cache(self):
+        s = sample(BVP1(delta=3.0), 50, seed=4)
+        t = PairedSample(s.xs, s.ys, dict(s.meta))
+        before = repr(s)
+        empirical_cw(s, WeightFunction.power(1.0), n_boot=0)
+        assert s._rank_slots[0][0] is not None and t._rank_slots[0][0] is None
+        assert s == t
+        assert repr(s) == before == repr(t)
+        assert "_rank_slots" not in repr(s)
+
+    def test_equality_is_by_value(self):
+        xs, ys = np.arange(5.0), np.arange(5.0) ** 2
+        assert PairedSample(xs, ys) == PairedSample(xs, ys)
+        assert PairedSample(xs, ys) == PairedSample(list(xs), ys.copy())
+        assert PairedSample(xs, ys) != PairedSample(ys, xs)
+        assert PairedSample(xs, ys) != PairedSample(xs, ys, {"seed": 1})

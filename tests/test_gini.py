@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from ginicorr import gini
 from ginicorr.distributions import (
     BVP1,
     BVP2,
@@ -27,6 +28,7 @@ from ginicorr.errors import (
 )
 from ginicorr.gini import (
     _ranks,
+    _tie_groups,
     closed_cw,
     cov_x_weighted,
     cw_via_regression,
@@ -39,6 +41,7 @@ from ginicorr.gini import (
 from ginicorr.oracle import hoeffding_cw, mc_reference, quad_cov_margin
 from ginicorr.specfun import SERIES_TERM_CAP
 from ginicorr.weights import WeightFunction
+from ginicorr.wipm import gini_premium, gini_wipm_rhs
 
 W_ID = WeightFunction.identity()
 W_POW2 = WeightFunction.power(2.0)
@@ -278,9 +281,95 @@ class TestRankKernel:
         v = np.array(values)
         if decimals is not None:
             v = np.round(v, decimals)
-        r, gid = _ranks(v)
+        r = _ranks(v)
+        assert r.dtype == np.float64
+        assert np.array_equal(r, rankdata(v))
         assert np.array_equal(r / (v.size + 1.0), rankdata(v) / (v.size + 1.0))
-        assert np.array_equal(gid, np.unique(v, return_inverse=True)[1])
+        gid = _tie_groups(r)
+        want = np.unique(v, return_inverse=True)[1]
+        assert gid.dtype == want.dtype
+        assert np.array_equal(gid, want)
+
+
+def _record_sorts(monkeypatch):
+    """Route gini's ranking kernel through a recorder of the arrays it ranks."""
+    ranked = []
+    kernel = gini._ranks
+
+    def recording(v):
+        ranked.append(v)
+        return kernel(v)
+
+    monkeypatch.setattr(gini, "_ranks", recording)
+    return ranked
+
+
+def _tied_sample():
+    s = sample(BVP2(delta=2.1, delta_y=0.5254), 400, seed=17)
+    return PairedSample(np.round(s.xs, 1), np.round(s.ys))
+
+
+def _cw_fields(rep):
+    return rep.value, rep.std_error, rep.detail
+
+
+class TestRankCache:
+    @pytest.mark.parametrize("n_boot", [0, 200])
+    def test_each_margin_is_sorted_once(self, monkeypatch, n_boot):
+        s = _tied_sample()
+        ranked = _record_sorts(monkeypatch)
+        empirical_cw(s, W_POW2, n_boot=n_boot)
+        gini_premium(s, W_POW2)
+        gini_wipm_rhs(s, W_POW2)
+        lambda_w(s, W_POW2)
+        assert len(ranked) == 2
+        assert ranked[0] is s.xs and ranked[1] is s.ys
+
+    def test_bootstrap_on_a_warm_cache_sorts_nothing(self, monkeypatch):
+        s = _tied_sample()
+        gini_premium(s, W_BETA)
+        gini_wipm_rhs(s, W_BETA)
+        ranked = _record_sorts(monkeypatch)
+        warm = empirical_cw(s, W_BETA, n_boot=200, seed=5)
+        assert ranked == []
+        cold = empirical_cw(PairedSample(s.xs, s.ys), W_BETA, n_boot=200, seed=5)
+        assert len(ranked) == 2
+        assert _cw_fields(warm) == _cw_fields(cold)
+
+    def test_one_array_twice_is_sorted_once(self, monkeypatch):
+        xs = np.random.default_rng(2).standard_gamma(2.0, 300)
+        s = PairedSample(xs, xs)
+        ranked = _record_sorts(monkeypatch)
+        assert empirical_cw(s, W_POW2, n_boot=50).value == 1.0
+        gini_premium(s, W_POW2)
+        assert len(ranked) == 1
+
+    def test_swapped_sample_shares_the_ranks(self, monkeypatch):
+        s = _tied_sample()
+        empirical_cw(s, W_TABLE, n_boot=0)
+        ranked = _record_sorts(monkeypatch)
+        warm = empirical_cw(s.swapped(), W_TABLE, n_boot=100, seed=2)
+        assert ranked == []
+        cold = empirical_cw(PairedSample(s.ys, s.xs), W_TABLE, n_boot=100, seed=2)
+        assert _cw_fields(warm) == _cw_fields(cold)
+        # ranks a swapped sample fills are seen by the sample it came from
+        t = PairedSample(s.xs, s.ys)
+        gini_premium(t.swapped(), W_TABLE)
+        lambda_w(t, W_TABLE)
+        assert len(ranked) == 3 and ranked[2] is t.xs
+
+    @pytest.mark.parametrize("w", [W_ID, W_POW2, W_BETA, W_TABLE],
+                             ids=["identity", "power", "beta", "table"])
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_cold_and_warm_cache_agree_bitwise(self, w, tied):
+        s = _tied_sample() if tied else sample(BVP2(delta=2.1, delta_y=0.5254), 400, seed=17)
+        cold = [_cw_fields(empirical_cw(PairedSample(s.xs, s.ys), w, n_boot=100, seed=9)),
+                lambda_w(PairedSample(s.xs, s.ys), w)]
+        gini_premium(s, w)
+        gini_wipm_rhs(s, w)
+        warm = [_cw_fields(empirical_cw(s, w, n_boot=100, seed=9)), lambda_w(s, w)]
+        assert warm == cold
+        assert warm[1] == lambda_w_empirical(s.xs, w)
 
 
 class TestCountsBootstrap:

@@ -128,6 +128,36 @@ class TestGiniPremium:
             gini_premium(s, W_ID, orientation="upside_down")
 
 
+class TestRankCacheBitwise:
+    @pytest.mark.parametrize("w", [W_ID, W_POW1, W_BETA], ids=["identity", "power", "beta"])
+    @pytest.mark.parametrize("decimals", [None, 0], ids=["untied", "tied"])
+    def test_cold_and_warm_cache_agree(self, w, decimals):
+        s = sample(BVP2(delta=2.1, delta_y=0.5254), 500, seed=8)
+        if decimals is not None:
+            s = PairedSample(np.round(s.xs, decimals), np.round(s.ys, decimals))
+
+        def results(t):
+            rhs = gini_wipm_rhs(t, w)
+            return [gini_premium(t, w), gini_premium(t, w, orientation="risk_loading"),
+                    (rhs.premium, rhs.base, rhs.detail)]
+
+        cold = results(PairedSample(s.xs, s.ys))
+        empirical_cw(s, w, n_boot=20)
+        assert results(s) == cold
+        cold_swapped = results(PairedSample(s.ys, s.xs))
+        assert results(s.swapped()) == cold_swapped
+
+    def test_with_xs_prices_against_the_same_ranking(self):
+        rng = np.random.default_rng(9)
+        ref = PairedSample(rng.standard_gamma(2.0, 300), np.round(rng.standard_normal(300), 1))
+        xs = rng.standard_normal(300)
+        cold = gini_premium(PairedSample(xs, ref.ys), W_BETA)
+        gini_premium(ref, W_BETA)
+        s = ref.with_xs(xs)
+        assert s.ys is ref.ys and s.meta == {}
+        assert gini_premium(s, W_BETA) == cold
+
+
 class TestGiniWipmRhs:
     def test_independent_normal_reduces_to_mean(self):
         rhs = gini_wipm_rhs(Normal(mu_x=3.0, rho=0.0), W_BETA)
@@ -259,6 +289,15 @@ class TestAllocate:
         agg = p.aggregate
         total = gini_premium(PairedSample(agg, agg), W_POW1).premium
         assert sum(a.premium for a in allocs) == pytest.approx(total, abs=1e-10 * abs(total))
+
+    def test_detail_records_the_aggregate_premium(self):
+        rng = np.random.default_rng(13)
+        p = Portfolio(("a", "b", "c"), rng.standard_gamma(2.0, (700, 3)))
+        agg = p.aggregate
+        for orientation in ("survival", "risk_loading"):
+            total = gini_premium(PairedSample(agg, agg), W_BETA, orientation).premium
+            for a in allocate(p, W_BETA, orientation):
+                assert a.detail["aggregate_premium"] == total
 
     def test_needs_two_columns(self):
         with pytest.raises(DomainError):
