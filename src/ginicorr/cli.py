@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .distributions import (
     BVP1,
     BVP2,
     BVP3,
+    PARETO_FAMILIES,
     EllipticalT,
     Normal,
     PairedSample,
@@ -48,6 +50,8 @@ from .weights import WeightFunction
 _USAGE_ERRORS = (DomainError, MomentError, UnsupportedPairError,
                  NoLinearRegressionError, DegenerateSampleError)
 _NUMERIC_ERRORS = (ConvergenceError, QuadratureError)
+
+FAMILIES = {c.name: c for c in (Normal, EllipticalT, BVP1, BVP2, BVP3)}
 
 
 def _fmt(x) -> str:
@@ -83,45 +87,26 @@ def parse_weight(spec: str) -> WeightFunction:
 
 
 def build_family(args):
-    """Assemble a family from CLI flags; None when --family was not given."""
+    """Assemble a family from CLI flags; None when --family was not given.
+
+    Each field comes from its flag; those after location and scale are required.
+    """
     if args.family is None:
         return None
-    common = dict(mu_x=args.mu_x, mu_y=args.mu_y,
-                  sigma_x=args.sigma_x, sigma_y=args.sigma_y)
-
-    def need(*names):
-        missing = [n for n in names if getattr(args, n) is None]
-        if missing:
-            raise CliError(
-                f"family {args.family!r} needs --" + " --".join(m.replace("_", "-")
-                                                                for m in missing)
-            )
-
+    cls = FAMILIES[args.family]
+    names = [fl.name for fl in fields(cls)]
+    missing = [n for n in names[4:] if getattr(args, n) is None]
+    if missing:
+        flags = " ".join("--" + m.replace("_", "-") for m in missing)
+        raise CliError(f"family {args.family!r} needs {flags}")
     try:
-        if args.family == "normal":
-            need("rho")
-            return Normal(rho=args.rho, **common)
-        if args.family == "elliptical_t":
-            need("sigma_xy", "nu")
-            return EllipticalT(sigma_xy=args.sigma_xy, nu=args.nu, **common)
-        if args.family == "bvp1":
-            need("delta")
-            return BVP1(delta=args.delta, **common)
-        if args.family == "bvp2":
-            need("delta", "delta_y")
-            return BVP2(delta=args.delta, delta_y=args.delta_y, **common)
-        if args.family == "bvp3":
-            need("delta", "delta_x", "delta_y")
-            return BVP3(delta=args.delta, delta_x=args.delta_x,
-                        delta_y=args.delta_y, **common)
+        return cls(**{n: getattr(args, n) for n in names})
     except DomainError as exc:
         raise CliError(str(exc)) from exc
-    raise CliError(f"unknown family {args.family!r}")
 
 
 def _add_family_flags(p: argparse.ArgumentParser):
-    p.add_argument("--family",
-                   choices=["normal", "elliptical_t", "bvp1", "bvp2", "bvp3"])
+    p.add_argument("--family", choices=list(FAMILIES))
     p.add_argument("--mu-x", dest="mu_x", type=float, default=0.0)
     p.add_argument("--mu-y", dest="mu_y", type=float, default=0.0)
     p.add_argument("--sigma-x", dest="sigma_x", type=float, default=1.0)
@@ -311,7 +296,7 @@ def cmd_surface(args) -> int:
         raise CliError("surface needs at least 2 steps per axis")
     if not (args.x_max > args.x_min and args.y_max > args.y_min):
         raise CliError("surface needs increasing axis ranges")
-    if isinstance(fam, (BVP1, BVP2, BVP3)):
+    if isinstance(fam, PARETO_FAMILIES):
         if args.x_min < fam.mu_x or args.y_min < fam.mu_y:
             raise CliError(
                 f"grid below support: need x >= {fam.mu_x:g} and y >= {fam.mu_y:g}"

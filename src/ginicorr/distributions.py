@@ -11,16 +11,19 @@ exponential (idiosyncratic) and gamma (background) variates:
   BVP3: non-exchangeable margins, no linear regression,
         joint ddf (1 + x~ + y~)^(-delta) (1 + x~)^(-delta_x) (1 + y~)^(-delta_y)
 
-where x~ = (x - mu_x) / sigma_x, y~ = (y - mu_y) / sigma_y.  Samplers draw
-exactly from the stochastic representations, so they are independent of
-every density/ddf formula here and act as one side of the validation
-triangle.
+where x~ = (x - mu_x) / sigma_x, y~ = (y - mu_y) / sigma_y.  BVP1 is BVP3
+with delta_x = delta_y = 0 and BVP2 is BVP3 with delta_x = 0: the three
+share one margin law (tail indices delta + delta_x, delta + delta_y), one
+sampler and one joint ddf, in which a zero index draws no gamma variate and
+is a factor of exactly 1.  Samplers draw exactly from the stochastic
+representations, so they are independent of every density/ddf formula
+here and act as one side of the validation triangle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -244,8 +247,20 @@ def _require_positive(**kwargs):
             raise DomainError(f"{name} must be > 0, got {value}")
 
 
+class _Family:
+    """What the five families share: describe() from `name` and the fields."""
+
+    name = ""
+
+    def describe(self) -> str:
+        return f"{self.name}(" + ", ".join(
+            f"{fl.name}={getattr(self, fl.name):g}" for fl in fields(self)) + ")"
+
+
 @dataclass(frozen=True)
-class Normal:
+class Normal(_Family):
+    name = "normal"
+
     mu_x: float = 0.0
     mu_y: float = 0.0
     sigma_x: float = 1.0
@@ -257,19 +272,17 @@ class Normal:
         if not abs(self.rho) < 1.0:
             raise DomainError(f"|rho| must be < 1, got {self.rho}")
 
-    def describe(self) -> str:
-        return (f"normal(mu_x={self.mu_x:g}, mu_y={self.mu_y:g}, "
-                f"sigma_x={self.sigma_x:g}, sigma_y={self.sigma_y:g}, rho={self.rho:g})")
-
 
 @dataclass(frozen=True)
-class EllipticalT:
+class EllipticalT(_Family):
     """Bivariate Student t with dispersion matrix [[sx^2, sxy], [sxy, sy^2]].
 
     The dispersion entries are not variances (those are nu/(nu-2) times
     larger and only exist for nu > 2), which is exactly why this family
     exercises the weighted-Gini machinery where Pearson may not exist.
     """
+
+    name = "elliptical_t"
 
     mu_x: float = 0.0
     mu_y: float = 0.0
@@ -291,14 +304,13 @@ class EllipticalT:
         return np.array([[self.sigma_x ** 2, self.sigma_xy],
                          [self.sigma_xy, self.sigma_y ** 2]])
 
-    def describe(self) -> str:
-        return (f"elliptical_t(mu_x={self.mu_x:g}, mu_y={self.mu_y:g}, "
-                f"sigma_x={self.sigma_x:g}, sigma_y={self.sigma_y:g}, "
-                f"sigma_xy={self.sigma_xy:g}, nu={self.nu:g})")
-
 
 @dataclass(frozen=True)
-class BVP1:
+class _Pareto(_Family):
+    """The BVP3 law.  An index that a subclass does not declare as a field is 0."""
+
+    delta_x = delta_y = 0.0
+
     mu_x: float = 0.0
     mu_y: float = 0.0
     sigma_x: float = 1.0
@@ -306,64 +318,40 @@ class BVP1:
     delta: float = 2.0
 
     def __post_init__(self):
-        _require_positive(sigma_x=self.sigma_x, sigma_y=self.sigma_y, delta=self.delta)
+        _require_positive(**{fl.name: getattr(self, fl.name) for fl in fields(self)[2:]})
 
-    def describe(self) -> str:
-        return (f"bvp1(mu_x={self.mu_x:g}, mu_y={self.mu_y:g}, "
-                f"sigma_x={self.sigma_x:g}, sigma_y={self.sigma_y:g}, delta={self.delta:g})")
-
-
-@dataclass(frozen=True)
-class BVP2:
-    mu_x: float = 0.0
-    mu_y: float = 0.0
-    sigma_x: float = 1.0
-    sigma_y: float = 1.0
-    delta: float = 2.0
-    delta_y: float = 1.0
-
-    def __post_init__(self):
-        _require_positive(sigma_x=self.sigma_x, sigma_y=self.sigma_y,
-                          delta=self.delta, delta_y=self.delta_y)
+    @property
+    def delta_x_star(self) -> float:
+        """Tail index of the X margin."""
+        return self.delta + self.delta_x
 
     @property
     def delta_y_star(self) -> float:
         """Tail index of the Y margin."""
         return self.delta + self.delta_y
 
-    def describe(self) -> str:
-        return (f"bvp2(mu_x={self.mu_x:g}, mu_y={self.mu_y:g}, "
-                f"sigma_x={self.sigma_x:g}, sigma_y={self.sigma_y:g}, "
-                f"delta={self.delta:g}, delta_y={self.delta_y:g})")
+
+@dataclass(frozen=True)
+class BVP1(_Pareto):
+    name = "bvp1"
 
 
 @dataclass(frozen=True)
-class BVP3:
-    mu_x: float = 0.0
-    mu_y: float = 0.0
-    sigma_x: float = 1.0
-    sigma_y: float = 1.0
-    delta: float = 2.0
+class BVP2(_Pareto):
+    name = "bvp2"
+
+    delta_y: float = 1.0
+
+
+@dataclass(frozen=True)
+class BVP3(_Pareto):
+    name = "bvp3"
+
     delta_x: float = 1.0
     delta_y: float = 1.0
 
-    def __post_init__(self):
-        _require_positive(sigma_x=self.sigma_x, sigma_y=self.sigma_y,
-                          delta=self.delta, delta_x=self.delta_x, delta_y=self.delta_y)
 
-    @property
-    def delta_x_star(self) -> float:
-        return self.delta + self.delta_x
-
-    @property
-    def delta_y_star(self) -> float:
-        return self.delta + self.delta_y
-
-    def describe(self) -> str:
-        return (f"bvp3(mu_x={self.mu_x:g}, mu_y={self.mu_y:g}, "
-                f"sigma_x={self.sigma_x:g}, sigma_y={self.sigma_y:g}, "
-                f"delta={self.delta:g}, delta_x={self.delta_x:g}, delta_y={self.delta_y:g})")
-
+PARETO_FAMILIES = (BVP1, BVP2, BVP3)
 
 BivariateFamily = Union[Normal, EllipticalT, BVP1, BVP2, BVP3]
 
@@ -375,13 +363,7 @@ def margins(f: BivariateFamily):
     if isinstance(f, EllipticalT):
         return (StudentTMargin(f.mu_x, f.sigma_x, f.nu),
                 StudentTMargin(f.mu_y, f.sigma_y, f.nu))
-    if isinstance(f, BVP1):
-        return (ParetoIIMargin(f.mu_x, f.sigma_x, f.delta),
-                ParetoIIMargin(f.mu_y, f.sigma_y, f.delta))
-    if isinstance(f, BVP2):
-        return (ParetoIIMargin(f.mu_x, f.sigma_x, f.delta),
-                ParetoIIMargin(f.mu_y, f.sigma_y, f.delta_y_star))
-    if isinstance(f, BVP3):
+    if isinstance(f, PARETO_FAMILIES):
         return (ParetoIIMargin(f.mu_x, f.sigma_x, f.delta_x_star),
                 ParetoIIMargin(f.mu_y, f.sigma_y, f.delta_y_star))
     raise DomainError(f"unknown family {f!r}")
@@ -404,23 +386,13 @@ def _draw(f: BivariateFamily, n: int, rng: np.random.Generator):
         w = rng.chisquare(f.nu, n) / f.nu
         g = (chol @ z) / np.sqrt(w)
         return f.mu_x + g[0], f.mu_y + g[1]
-    if isinstance(f, BVP1):
+    if isinstance(f, PARETO_FAMILIES):
         ex = rng.standard_exponential(n)
         ey = rng.standard_exponential(n)
         g = rng.standard_gamma(f.delta, n)
-        return f.mu_x + f.sigma_x * ex / g, f.mu_y + f.sigma_y * ey / g
-    if isinstance(f, BVP2):
-        ex = rng.standard_exponential(n)
-        ey = rng.standard_exponential(n)
-        g = rng.standard_gamma(f.delta, n)
-        gy = rng.standard_gamma(f.delta_y, n)
-        return f.mu_x + f.sigma_x * ex / g, f.mu_y + f.sigma_y * ey / (gy + g)
-    if isinstance(f, BVP3):
-        ex = rng.standard_exponential(n)
-        ey = rng.standard_exponential(n)
-        g = rng.standard_gamma(f.delta, n)
-        gx = rng.standard_gamma(f.delta_x, n)
-        gy = rng.standard_gamma(f.delta_y, n)
+        # a zero index (BVP1, BVP2) draws no variate and adds 0.0, which leaves g exact
+        gx, gy = (rng.standard_gamma(d, n) if d > 0.0 else 0.0
+                  for d in (f.delta_x, f.delta_y))
         return f.mu_x + f.sigma_x * ex / (gx + g), f.mu_y + f.sigma_y * ey / (gy + g)
     raise DomainError(f"unknown family {f!r}")
 
@@ -457,14 +429,12 @@ def joint_ddf(f: BivariateFamily, x, y):
     marginal ddf); Genz-algorithm survival evaluation for the elliptical
     families via P[X > x, Y > y] = F_{(-X,-Y)}(-x, -y).
     """
-    if isinstance(f, (BVP1, BVP2, BVP3)):
+    if isinstance(f, PARETO_FAMILIES):
         xt = np.maximum((np.asarray(x, dtype=float) - f.mu_x) / f.sigma_x, 0.0)
         yt = np.maximum((np.asarray(y, dtype=float) - f.mu_y) / f.sigma_y, 0.0)
-        out = (1.0 + xt + yt) ** (-f.delta)
-        if isinstance(f, (BVP2, BVP3)):
-            out = out * (1.0 + yt) ** (-f.delta_y)
-        if isinstance(f, BVP3):
-            out = out * (1.0 + xt) ** (-f.delta_x)
+        # a zero index gives a factor u ** -0.0 == 1.0 exactly
+        out = ((1.0 + xt + yt) ** (-f.delta) * (1.0 + yt) ** (-f.delta_y)
+               * (1.0 + xt) ** (-f.delta_x))
         return float(out) if (np.ndim(x) == 0 and np.ndim(y) == 0) else out
 
     from scipy import stats as sps

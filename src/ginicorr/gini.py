@@ -31,6 +31,7 @@ from .distributions import (
     Normal,
     PairedSample,
     ParetoIIMargin,
+    bvp3_pdf_terms,
     margins,
     regression_line,
 )
@@ -376,10 +377,6 @@ def _bvp3_closed(f: BVP3, gamma: float) -> tuple[float, dict]:
     margin max(h, 1) or more (Thomae's transformation when h < 1).
     Returns the value and the diagnostics of the series summed.
     """
-    from .distributions import bvp3_pdf_terms
-
-    if not gamma > 0.0:
-        raise DomainError(f"gamma must be > 0, got {gamma}")
     dxs, dys = f.delta_x_star, f.delta_y_star
     if dxs <= 1.0:
         raise MomentError(f"needs delta_x* > 1 for a finite mean, got {dxs}")

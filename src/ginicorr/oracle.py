@@ -18,9 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import (
-    BVP1,
-    BVP2,
     BVP3,
+    PARETO_FAMILIES,
     BivariateFamily,
     PairedSample,
     ParetoIIMargin,
@@ -156,7 +155,7 @@ def hoeffding_cw(f: BivariateFamily, w: WeightFunction) -> float:
     1e-2 per level of nesting.  The denominator is quad_cov_margin.  No
     density expansion, 3F2 series or regression line enters.
     """
-    if not isinstance(f, (BVP1, BVP2, BVP3)):
+    if not isinstance(f, PARETO_FAMILIES):
         raise DomainError(f"the Hoeffding oracle covers the Pareto families, not {f!r}")
     d, dxs, dys = f.delta, *(m.delta for m in margins(f))
     t, v = w.knots_t, w.knots_w

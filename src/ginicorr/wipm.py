@@ -22,6 +22,7 @@ and flips the loading sign.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,9 +73,15 @@ class Portfolio:
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "columns", cols)
 
-    @property
+    @cached_property
     def aggregate(self) -> np.ndarray:
-        return self.columns.sum(axis=1)
+        """The row sums as a read-only array, summed once, on first use.
+
+        Not at construction, so no n-sized sum is held before it is needed.
+        """
+        agg = self.columns.sum(axis=1)
+        agg.flags.writeable = False
+        return agg
 
     @classmethod
     def from_csv(cls, path) -> "Portfolio":

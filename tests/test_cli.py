@@ -130,6 +130,40 @@ class TestCorr:
         assert payload["results"][0]["std_error"] is None
 
 
+@pytest.mark.parametrize("command", ["corr", "sample", "surface"])
+@pytest.mark.parametrize("family, given, missing", [
+    ("normal", [], "--rho"),
+    ("elliptical_t", [], "--sigma-xy --nu"),
+    ("elliptical_t", ["--nu", "3"], "--sigma-xy"),
+    ("bvp1", [], "--delta"),
+    ("bvp2", [], "--delta --delta-y"),
+    ("bvp2", ["--delta-y", "1"], "--delta"),
+    ("bvp3", [], "--delta --delta-x --delta-y"),
+    ("bvp3", ["--delta-x", "1"], "--delta --delta-y"),
+])
+def test_missing_family_flags_are_named_in_field_order(capsys, command, family, given,
+                                                        missing):
+    code, out, err = run_cli(capsys, command, "--family", family, *given)
+    assert (code, out, err) == (2, "", f"error: family {family!r} needs {missing}\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["bvp1", "--delta", "0", "--sigma-y", "-1"], "sigma_y must be > 0, got -1.0"),
+    (["bvp1", "--delta", "nan"], "delta must be > 0, got nan"),
+    (["bvp2", "--delta", "-1", "--delta-y", "0"], "delta must be > 0, got -1.0"),
+    (["bvp2", "--delta", "1", "--delta-y", "0"], "delta_y must be > 0, got 0.0"),
+    (["bvp3", "--delta", "1", "--delta-x", "0", "--delta-y", "-1"],
+     "delta_x must be > 0, got 0.0"),
+    (["bvp3", "--delta", "1", "--delta-x", "2", "--delta-y", "-1"],
+     "delta_y must be > 0, got -1.0"),
+    (["normal", "--rho", "0.5", "--sigma-x", "0"], "sigma_x must be > 0, got 0.0"),
+    (["elliptical_t", "--sigma-xy", "0", "--nu", "1"], "need nu > 1, got 1.0"),
+])
+def test_first_invalid_family_parameter_is_named(capsys, flags, message):
+    code, out, err = run_cli(capsys, "sample", "--family", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestSample:
     def test_byte_identical_runs(self, capsys):
         args = ("sample", "--family", "bvp2", "--delta", "2.1",

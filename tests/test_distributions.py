@@ -6,6 +6,7 @@ validate the BVP3 density coefficients; binomial standard errors bound
 the sampler/evaluator gap.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -340,6 +341,86 @@ class TestValidation:
     def test_sample_needs_n(self):
         with pytest.raises(DomainError):
             sample(BVP1(delta=2.0), 0, seed=1)
+
+
+class TestParetoConstruction:
+    """BVP1 and BVP2 keep their own laws as BVP3 with zero indices."""
+
+    @pytest.mark.parametrize("f, want", [
+        (Normal(1.5, -2.0, 2.0, 0.25, -0.6),
+         "normal(mu_x=1.5, mu_y=-2, sigma_x=2, sigma_y=0.25, rho=-0.6)"),
+        (EllipticalT(0.5, 1.0, 1.5, 2.0, 0.9, 2.123456789),
+         "elliptical_t(mu_x=0.5, mu_y=1, sigma_x=1.5, sigma_y=2, sigma_xy=0.9, nu=2.12346)"),
+        (BVP1(1.0, 2.0, 0.5, 3.0, 1.3),
+         "bvp1(mu_x=1, mu_y=2, sigma_x=0.5, sigma_y=3, delta=1.3)"),
+        (BVP2(-1.0, 0.5, 2.0, 0.7, 1.2, 0.0125),
+         "bvp2(mu_x=-1, mu_y=0.5, sigma_x=2, sigma_y=0.7, delta=1.2, delta_y=0.0125)"),
+        (BVP3(0.0, 1.0, 1.0, 2.0, 0.9, 0.4, 3e-7),
+         "bvp3(mu_x=0, mu_y=1, sigma_x=1, sigma_y=2, delta=0.9, delta_x=0.4, delta_y=3e-07)"),
+    ])
+    def test_describe(self, f, want):
+        assert f.describe() == want
+
+    @pytest.mark.parametrize("cls, indices", [
+        (BVP1, {}), (BVP2, {"delta_y": 1.0}), (BVP3, {"delta_x": 1.0, "delta_y": 1.0}),
+    ])
+    def test_fields(self, cls, indices):
+        want = dict(mu_x=0.0, mu_y=0.0, sigma_x=1.0, sigma_y=1.0, delta=2.0, **indices)
+        assert {fl.name: fl.default for fl in dataclasses.fields(cls)} == want
+        assert list(want) == [fl.name for fl in dataclasses.fields(cls)]
+        assert cls(*range(1, len(want) + 1)) == cls(**dict(zip(want, range(1, len(want) + 1))))
+
+    def test_absent_indices_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            BVP1(delta_x=1.0)
+        with pytest.raises(TypeError):
+            BVP2(delta_x=1.0)
+        assert repr(BVP1(delta=3.0)) == \
+            "BVP1(mu_x=0.0, mu_y=0.0, sigma_x=1.0, sigma_y=1.0, delta=3.0)"
+        assert BVP1() != BVP2(delta_y=1.0) and BVP1() == BVP1()
+
+    def test_first_invalid_field_is_named(self):
+        with pytest.raises(DomainError, match=r"^sigma_y must be > 0, got -1\.0$"):
+            BVP3(sigma_y=-1.0, delta=0.0, delta_x=0.0)
+        with pytest.raises(DomainError, match=r"^delta_x must be > 0, got 0\.0$"):
+            BVP3(delta_x=0.0, delta_y=-1.0)
+        with pytest.raises(DomainError, match=r"^delta_y must be > 0, got 0\.0$"):
+            BVP2(delta_y=0.0)
+
+    @pytest.mark.parametrize("seed", [5, 2024])
+    def test_bvp1_bvp2_draws(self, seed):
+        n = 257
+        f1 = BVP1(1.0, -2.0, 0.5, 3.0, 1.7)
+        rng = np.random.default_rng(seed)
+        ex, ey = rng.standard_exponential(n), rng.standard_exponential(n)
+        g = rng.standard_gamma(f1.delta, n)
+        s = sample(f1, n, seed)
+        assert s.xs.tobytes() == (f1.mu_x + f1.sigma_x * ex / g).tobytes()
+        assert s.ys.tobytes() == (f1.mu_y + f1.sigma_y * ey / g).tobytes()
+
+        f2 = BVP2(-1.0, 0.5, 2.0, 0.7, 2.1, 0.5254)
+        rng = np.random.default_rng(seed)
+        ex, ey = rng.standard_exponential(n), rng.standard_exponential(n)
+        g = rng.standard_gamma(f2.delta, n)
+        gy = rng.standard_gamma(f2.delta_y, n)
+        s = sample(f2, n, seed)
+        assert s.xs.tobytes() == (f2.mu_x + f2.sigma_x * ex / g).tobytes()
+        assert s.ys.tobytes() == (f2.mu_y + f2.sigma_y * ey / (gy + g)).tobytes()
+
+    def test_bvp1_bvp2_ddf(self):
+        x = np.linspace(-1.0, 9.0, 41)
+        y = np.linspace(-2.0, 5.0, 41)[::-1]
+        f1 = BVP1(0.5, -1.0, 2.0, 0.5, 2.7)
+        f2 = BVP2(0.5, -1.0, 2.0, 0.5, 2.7, 0.31)
+        xt = np.maximum((x - 0.5) / 2.0, 0.0)
+        yt = np.maximum((y + 1.0) / 0.5, 0.0)
+        want1 = (1.0 + xt + yt) ** (-2.7)
+        want2 = want1 * (1.0 + yt) ** (-0.31)
+        assert joint_ddf(f1, x, y).tobytes() == want1.tobytes()
+        assert joint_ddf(f2, x, y).tobytes() == want2.tobytes()
+        for i in range(0, 41, 5):
+            assert joint_ddf(f1, x[i], y[i]) == float(want1[i])
+            assert joint_ddf(f2, float(x[i]), float(y[i])) == float(want2[i])
 
 
 class TestPairedSample:

@@ -317,6 +317,15 @@ class TestPortfolio:
         assert p.names == ("fire", "flood")
         assert np.array_equal(p.aggregate, np.array([3.0, 7.0, 11.0]))
 
+    def test_aggregate_is_summed_once_and_read_only(self):
+        cols = np.random.default_rng(3).pareto(2.5, (50, 3))
+        p = Portfolio(("a", "b", "c"), cols)
+        assert p.aggregate is p.aggregate
+        assert p.aggregate.tobytes() == cols.sum(axis=1).tobytes()
+        with pytest.raises(ValueError):
+            p.aggregate[0] = 0.0
+        assert "aggregate" not in repr(p)
+
     def test_from_csv_rejects_a_bad_row_and_a_missing_header(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("fire,flood\n1.0,2.0\n3.0,n/a\n5.0,6.0\n")
