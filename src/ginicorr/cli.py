@@ -107,16 +107,13 @@ def build_family(args):
 
 def _add_family_flags(p: argparse.ArgumentParser):
     p.add_argument("--family", choices=list(FAMILIES))
-    p.add_argument("--mu-x", dest="mu_x", type=float, default=0.0)
-    p.add_argument("--mu-y", dest="mu_y", type=float, default=0.0)
-    p.add_argument("--sigma-x", dest="sigma_x", type=float, default=1.0)
-    p.add_argument("--sigma-y", dest="sigma_y", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--sigma-xy", dest="sigma_xy", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--delta-x", dest="delta_x", type=float, default=None)
-    p.add_argument("--delta-y", dest="delta_y", type=float, default=None)
+    # one flag per family field; all but location and scale default to None,
+    # so build_family can tell which were given
+    flags = {fl.name: fl.default if i < 4 else None
+             for cls in FAMILIES.values() for i, fl in enumerate(fields(cls))}
+    for name, default in flags.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=float,
+                       default=default)
 
 
 def _add_global_flags(p: argparse.ArgumentParser, default_format="csv"):
@@ -320,23 +317,16 @@ def cmd_price(args) -> int:
     w = parse_weight(args.weight)
     meta = _meta(args, portfolio=str(args.portfolio), weight=w.describe(),
                  orientation=args.orientation)
+    # S ranked once and w evaluated once, however many columns
+    price = wipm.allocate if args.allocate else wipm._price_columns
+    results = price(portfolio, w, args.orientation)
     header = ["column", "premium", "base", "loading"]
-    agg = portfolio.aggregate
+    rows = [[r.detail["column"], r.premium, r.base, r.loading] for r in results]
     if args.allocate:
-        allocs = wipm.allocate(portfolio, w, orientation=args.orientation)
-        PairedSample(agg, agg)  # refuses an aggregate that overflowed
-        total = allocs[0].detail["aggregate_premium"]
-        rows = [[a.detail["column"], a.premium, a.base, a.loading] for a in allocs]
         _write_table(args, meta, header, rows, key="allocations",
-                     aggregate_premium=total,
-                     allocation_sum=sum(a.premium for a in allocs))
+                     aggregate_premium=results[0].detail["aggregate_premium"],
+                     allocation_sum=sum(r.premium for r in results))
     else:
-        rows = []
-        ref = PairedSample(agg, agg)  # every column is priced against one ranking
-        for j, name in enumerate(portfolio.names):
-            res = wipm.gini_premium(ref.with_xs(portfolio.columns[:, j]), w,
-                                    orientation=args.orientation)
-            rows.append([name, res.premium, res.base, res.loading])
         _write_table(args, meta, header, rows, key="premiums")
     return 0
 

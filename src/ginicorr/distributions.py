@@ -61,7 +61,7 @@ class PairedSample:
     ys: np.ndarray
     meta: dict = field(default_factory=dict)
     # one single-item list per margin, holding its average ranks once
-    # computed (gini._margin_ranks); swapped() and with_xs() share them
+    # computed (gini._margin_ranks); swapped() shares them
     _rank_slots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -97,16 +97,6 @@ class PairedSample:
     def swapped(self) -> "PairedSample":
         s = PairedSample(self.ys, self.xs, dict(self.meta, swapped=True))
         object.__setattr__(s, "_rank_slots", self._rank_slots[::-1])
-        return s
-
-    def with_xs(self, xs) -> "PairedSample":
-        """xs paired with this sample's ys, which keep their ranks.
-
-        Prices several risks against one reference risk with one ranking
-        of it.  The new sample has no provenance record.
-        """
-        s = PairedSample(xs, self.ys)
-        object.__setattr__(s, "_rank_slots", (s._rank_slots[0], self._rank_slots[1]))
         return s
 
 

@@ -105,8 +105,8 @@ def _margin_ranks(s: PairedSample, j: int) -> np.ndarray:
     """Average ranks of s.xs (j = 0) or s.ys (j = 1), sorted once per sample.
 
     The first call ranks the margin and keeps the ranks in the sample's
-    rank cache; later calls, also through s.swapped() and s.with_xs(),
-    return them.  Valid because a sample's values are fixed.
+    rank cache; later calls, also through s.swapped(), return them.  Valid
+    because a sample's values are fixed.
     """
     slot = s._rank_slots[j]
     if slot[0] is None:

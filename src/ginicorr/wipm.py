@@ -28,11 +28,10 @@ import numpy as np
 
 from . import gini as _gini
 from ._csvrows import read_numeric_csv
-from .distributions import BVP3, PairedSample, margins, regression_line
+from .distributions import PairedSample, margins, regression_line
 from .errors import (
     DegenerateSampleError,
     DomainError,
-    NoLinearRegressionError,
     UnsupportedPairError,
 )
 from .weights import WeightFunction
@@ -78,8 +77,12 @@ class Portfolio:
         """The row sums as a read-only array, summed once, on first use.
 
         Not at construction, so no n-sized sum is held before it is needed.
+        A row sum that overflows raises DomainError.
         """
-        agg = self.columns.sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            agg = self.columns.sum(axis=1)
+        if not np.all(np.isfinite(agg)):
+            raise DomainError("portfolio aggregate overflows: a row sum is not finite")
         agg.flags.writeable = False
         return agg
 
@@ -185,11 +188,7 @@ def gini_wipm_rhs(f_or_s, w: WeightFunction) -> PremiumResult:
                              {"cw": cw, "slope": slope, "pi_y": pi_y})
 
     f = f_or_s
-    if isinstance(f, BVP3):
-        raise NoLinearRegressionError(
-            "Gini WIPM hypothesis violated: BVP3 has no linear regression of X on Y"
-        )
-    line = regression_line(f)  # also rejects infinite-mean regimes
+    line = regression_line(f)  # rejects BVP3 and infinite-mean regimes
     mx, my = margins(f)
     cov_x, cov_y, diag = _gini._margin_covs(f, w)
     try:
@@ -234,6 +233,15 @@ def allocate(p: Portfolio, w: WeightFunction,
     """
     if len(p.names) < 2:
         raise DomainError("allocation needs at least 2 columns")
+    return _price_columns(p, w, orientation)
+
+
+def _price_columns(p: Portfolio, w: WeightFunction, orientation: str) -> list:
+    """allocate without its column count: S ranked once, w evaluated once.
+
+    Column j's premium equals gini_premium(PairedSample(X_j, S)), so a
+    one-column portfolio is priced against itself.
+    """
     agg = p.aggregate
     if np.ptp(agg) == 0.0:
         raise DegenerateSampleError("aggregate risk is constant")

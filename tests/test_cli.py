@@ -1,5 +1,6 @@
 """Command-line surface tests: determinism, exit codes, wire formats."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -17,9 +18,19 @@ import ginicorr.gini
 import ginicorr.wipm
 from ginicorr import verify
 from ginicorr._csvrows import _read_rows, read_numeric_csv
-from ginicorr.cli import load_pairs_csv, main, parse_weight
-from ginicorr.distributions import BVP3, sample
+from ginicorr.cli import build_parser, load_pairs_csv, main, parse_weight
+from ginicorr.distributions import (
+    BVP1,
+    BVP2,
+    BVP3,
+    EllipticalT,
+    Normal,
+    PairedSample,
+    sample,
+)
 from ginicorr.errors import DomainError
+from ginicorr.weights import WeightFunction
+from ginicorr.wipm import gini_premium
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +173,18 @@ def test_missing_family_flags_are_named_in_field_order(capsys, command, family, 
 def test_first_invalid_family_parameter_is_named(capsys, flags, message):
     code, out, err = run_cli(capsys, "sample", "--family", *flags)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_family_flags_are_the_families_fields():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices["sample"]
+    flags = {a.dest: (a.option_strings, a.type, a.default) for a in sub._actions
+             if a.dest not in ("help", "family", "n", "seed", "out", "format")}
+    location_scale = {"mu_x": 0.0, "mu_y": 0.0, "sigma_x": 1.0, "sigma_y": 1.0}
+    names = {fl.name for cls in (Normal, EllipticalT, BVP1, BVP2, BVP3)
+             for fl in dataclasses.fields(cls)}
+    assert flags == {n: (["--" + n.replace("_", "-")], float, location_scale.get(n))
+                     for n in names}
 
 
 class TestSample:
@@ -405,13 +428,17 @@ class TestPrice:
             [r["column"], *(format(r[k], ".12g") for k in ("premium", "base", "loading"))]
             for r in rows]
 
-    @pytest.mark.parametrize("allocate", [[], ["--allocate"]])
-    def test_ranks_the_aggregate_once(self, capsys, monkeypatch, tmp_path, allocate):
+    @pytest.fixture
+    def three_csv(self, tmp_path):
         rng = np.random.default_rng(2)
         path = tmp_path / "three.csv"
         path.write_text("a,b,c\n" + "\n".join(
             ",".join(repr(float(v)) for v in row)
             for row in rng.standard_gamma(2.0, (200, 3))) + "\n")
+        return path
+
+    @pytest.mark.parametrize("allocate", [[], ["--allocate"]])
+    def test_ranks_the_aggregate_once(self, capsys, monkeypatch, three_csv, allocate):
         ranked = []
         kernel = ginicorr.gini._ranks
 
@@ -420,10 +447,50 @@ class TestPrice:
             return kernel(v)
 
         monkeypatch.setattr(ginicorr.gini, "_ranks", recording)
-        code, _, _ = run_cli(capsys, "price", "--portfolio", str(path),
+        code, _, _ = run_cli(capsys, "price", "--portfolio", str(three_csv),
                              "--weight", "beta:2,2", *allocate)
         assert code == 0
         assert len(ranked) == 1
+
+    @pytest.mark.parametrize("allocate", [[], ["--allocate"]])
+    def test_evaluates_the_weight_once(self, capsys, monkeypatch, three_csv, allocate):
+        sizes = []
+        evaluate = WeightFunction.__call__
+
+        def counting(w, t):
+            sizes.append(np.size(t))
+            return evaluate(w, t)
+
+        monkeypatch.setattr(WeightFunction, "__call__", counting)
+        code, _, _ = run_cli(capsys, "price", "--portfolio", str(three_csv),
+                             "--weight", "power:1", *allocate)
+        assert code == 0
+        assert sizes == [200]
+
+    def test_one_column_is_priced_against_itself(self, capsys, tmp_path):
+        col = np.random.default_rng(4).pareto(2.5, 150)
+        path = tmp_path / "one.csv"
+        path.write_text("only\n" + "\n".join(repr(float(v)) for v in col) + "\n")
+        code, out, _ = run_cli(capsys, "price", "--portfolio", str(path),
+                               "--weight", "power:1")
+        want = gini_premium(PairedSample(col, col), WeightFunction.power(1.0))
+        assert code == 0
+        assert json.loads(out)["premiums"] == [
+            {"column": "only", "premium": float(format(want.premium, ".12g")),
+             "base": float(format(want.base, ".12g")),
+             "loading": float(format(want.loading, ".12g"))}]
+        code, out, err = run_cli(capsys, "price", "--portfolio", str(path), "--allocate")
+        assert (code, out, err) == (2, "", "error: allocation needs at least 2 columns\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("allocate", [[], ["--allocate"]])
+    def test_overflowing_aggregate_exits_2_without_a_warning(self, capsys, tmp_path,
+                                                             allocate):
+        path = tmp_path / "big.csv"
+        path.write_text("a,b\n1e308,1e308\n1,2\n3,1\n5,7\n")
+        code, out, err = run_cli(capsys, "price", "--portfolio", str(path), *allocate)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Warning" not in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "price", "--portfolio", "/nope.csv")
