@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=10)
     p.add_argument("--bootstrap", type=int, default=200,
                    help="bootstrap resamples for the empirical standard error "
-                        "(0 disables)")
+                        "(0 disables, else at least 10)")
     _add_global_flags(p)
     p.set_defaults(fn=cmd_corr)
 

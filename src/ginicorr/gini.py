@@ -86,21 +86,6 @@ def _ranks(v: np.ndarray) -> np.ndarray:
     return r
 
 
-def _tie_groups(r: np.ndarray) -> np.ndarray:
-    """Tie-group ids from average ranks r, without sorting again.
-
-    gid[i] is the index of r[i]'s distinct value in ascending order, as
-    np.unique(v, return_inverse=True) gives it for the values v ranked.
-    Distinct values have distinct half-integer average ranks, so
-    k = 2r - 2 labels the groups in order within [0, 2n - 2] and gid
-    numbers the labels present consecutively.
-    """
-    k = (2.0 * r - 2.0).astype(np.intp)
-    present = np.zeros(2 * r.size, dtype=bool)
-    present[k] = True
-    return (np.cumsum(present) - 1)[k]
-
-
 def _margin_ranks(s: PairedSample, j: int) -> np.ndarray:
     """Average ranks of s.xs (j = 0) or s.ys (j = 1), sorted once per sample.
 
@@ -123,36 +108,85 @@ def _rank_weights(w: WeightFunction, r: np.ndarray, n: int) -> np.ndarray:
     return w(1.0 - r / (n + 1.0))
 
 
-def _count_rank_weights(table: np.ndarray, gid: np.ndarray,
-                        cs: np.ndarray) -> np.ndarray:
-    """_rank_weights of the drawn points of a resample given as counts.
+def _sort_order(r: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A margin's sort order and its tie groups' starts in it, from average ranks r.
 
-    gid holds the drawn points' tie groups and cs their counts.  A group's
-    average rank in the resample is r = cumsum(cg) - (cg - 1)/2 over the
-    group counts cg, a half-integer in [1, n]; table[2r - 2] holds the
-    weight at rank r, so w is not evaluated per resample.
+    Without ties the order is 1..n scattered through r - 1 and starts is
+    None.  With ties it is a stable argsort of the integer labels 2r - 2,
+    which are distinct half-integer ranks doubled, so equal values share a
+    label and the labels ascend with the values; starts indexes each
+    group's first position.  Either way it equals np.argsort(v,
+    kind="stable") for the values v ranked, which are not sorted again.
     """
-    cg = np.bincount(gid, weights=cs)
-    return table[(2.0 * np.cumsum(cg) - cg - 1.0).astype(np.intp)[gid]]
+    n = r.size
+    o = np.zeros(n, dtype=np.intp)
+    o[(r - 1.0).astype(np.intp)] = np.arange(n)
+    if np.array_equal(r[o], np.arange(1.0, n + 1.0)):
+        return o, None
+    k = (2.0 * r - 2.0).astype(np.intp)
+    o = np.argsort(k, kind="stable")
+    return o, np.flatnonzero(np.diff(k[o], prepend=-1))
 
 
-def _cw_ratio(xs: np.ndarray, dev: np.ndarray, wx: np.ndarray,
-              wy: np.ndarray) -> float:
-    """(dev . wy) / (dev . wx), refusing a zero denominator.
+def _margin_terms(c, o, starts, x_o, m, table, work):
+    """A resample's terms in one margin's sort order, one per tie group.
 
-    dev are the (count-weighted) deviations of xs from their mean.  Constant
-    xs are tested directly: their mean can round off the common value, which
-    leaves deviations that the scale test lets through.
+    c are the counts over the sample, x_o the xs in the order o and m the
+    resample mean of xs.  The count-weighted deviations c (x - m) are
+    summed over the margin's tie groups (starts) when it has ties.  A group
+    with running count C and count cg has average rank C - (cg - 1)/2 in
+    the resample, and table[2C - cg] is w at that rank: the padded table
+    holds w at the ranks 1, 1.5, ..., n from index 1 and a 0 at each end,
+    which only undrawn groups (deviation 0) read.  So w is not evaluated
+    per resample.  Returns the deviations, the weights and the first and
+    last drawn groups.  work holds two int and two float arrays of length
+    n that each call overwrites and may return views of: fresh n-length
+    arrays per resample cost more in page faults than in arithmetic.
     """
-    num = dev @ wy
-    den = dev @ wx
-    scale = np.abs(dev).sum() * max(np.abs(wx).max(), 1e-300)
-    if np.ptp(xs) == 0.0 or abs(den) <= _DEGENERATE_REL * scale:
+    co, k, dev, wts = work
+    np.take(c, o, out=co, mode="clip")  # o is a permutation: nothing is clipped
+    np.multiply(np.subtract(x_o, m, out=dev), co, out=dev)
+    if starts is not None:
+        co, dev = np.add.reduceat(co, starts), np.add.reduceat(dev, starts)
+    cum = np.cumsum(co, out=k[:co.size])
+    first, last = cum.searchsorted(0, "right"), cum.searchsorted(cum[-1])
+    np.subtract(np.multiply(cum, 2, out=cum), co, out=cum)
+    return dev, np.take(table, cum, out=wts[:co.size], mode="clip"), first, last
+
+
+def _require_spread(constant: bool, den: float, dev: np.ndarray, wmax: float) -> None:
+    """Refuse a numerically zero denominator covariance dev . wx.
+
+    Constant xs are tested directly: their mean can round off the common
+    value, which leaves deviations that the scale test sum|dev| * max|wx|
+    lets through.  wmax is the largest weight.
+    """
+    if constant or abs(den) <= _DEGENERATE_REL * np.abs(dev).sum() * max(wmax, 1e-300):
         raise DegenerateSampleError(
             "denominator covariance is numerically zero "
             "(constant xs or constant weight)"
         )
-    return float(num / den)
+
+
+def _cw_ratio(xs: np.ndarray, dev: np.ndarray, wx: np.ndarray,
+              wy: np.ndarray) -> float:
+    """(dev . wy) / (dev . wx) over a whole sample, refusing a zero denominator.
+
+    dev are the deviations of xs from their mean.
+    """
+    den = dev @ wx
+    _require_spread(np.ptp(xs) == 0.0, den, dev, np.abs(wx).max())
+    return float((dev @ wy) / den)
+
+
+def _check_n_boot(n_boot: int) -> None:
+    """Refuse a resample count that can never give a standard error.
+
+    The bootstrap needs 10 non-degenerate resamples, so 1 to 9 always fail.
+    """
+    if n_boot < 0 or 0 < n_boot < 10:
+        raise DomainError(
+            f"n_boot must be 0 (no bootstrap) or at least 10, got {n_boot}")
 
 
 def _bootstrap_se(stat, xs: np.ndarray, ys: np.ndarray, n_boot: int,
@@ -161,20 +195,19 @@ def _bootstrap_se(stat, xs: np.ndarray, ys: np.ndarray, n_boot: int,
 
     A resample is described by its multiplicity counts over the fixed
     sample: c = bincount of the same rng.integers(0, n, n) draw that would
-    index it.  stat(xr, yr, sel, cs) gets the points drawn at least once,
-    their indices sel and their counts cs, and raises DegenerateSampleError
-    on a resample without spread information.  (With replacement, a tiny
-    sample occasionally redraws one point n times.)  Returns the standard
-    error and a detail map with the resamples used and skipped.
+    index it.  stat(c, xs, ys) gets the full-length counts and the sample,
+    and raises DegenerateSampleError on a resample without spread
+    information.  (With replacement, a tiny sample occasionally redraws
+    one point n times.)  Returns the standard error and a detail map with
+    the resamples used and skipped.
     """
     rng = np.random.default_rng(seed)
     n = xs.size
     vals = []
     for _ in range(n_boot):
         c = np.bincount(rng.integers(0, n, n), minlength=n)
-        sel = np.flatnonzero(c > 0)
         try:
-            vals.append(stat(xs[sel], ys[sel], sel, c[sel].astype(float)))
+            vals.append(stat(c, xs, ys))
         except DegenerateSampleError:
             continue
     if len(vals) < max(10, n_boot // 4):
@@ -200,28 +233,40 @@ def empirical_cw(s: PairedSample, w: WeightFunction, n_boot: int = 200,
     Each margin is sorted at most once per sample: its ranks are kept in
     the sample's rank cache, which gini_premium, gini_wipm_rhs and
     lambda_w share.  n_boot > 0 attaches a seeded nonparametric-bootstrap
-    standard error; pass 0 to skip it on large inputs.  The bootstrap
-    takes the tie groups from the cached ranks without sorting again,
-    draws each resample as multiplicity counts over the sample and ranks
-    it from those counts and the tie groups, never re-sorted, and w is
-    evaluated once per possible average rank, not per resample.  Constant
-    xs have no C_w: the sample raises DegenerateSampleError and such a
-    resample is skipped; detail records n_boot_used and n_boot_skipped.
+    standard error; pass 0 to skip it on large inputs.  n_boot < 0 or
+    0 < n_boot < 10 raises DomainError.  The bootstrap recovers each
+    margin's sort order from the cached ranks without sorting again, draws
+    each resample as multiplicity counts over the sample and reads its
+    ranks off the running sums of those counts in each margin's order
+    (summed over tie groups first where there are ties), so w is evaluated
+    once per possible average rank, not per resample.  Constant xs have no
+    C_w: the sample raises DegenerateSampleError and such a resample is
+    skipped; detail records n_boot_used and n_boot_skipped.
     """
+    _check_n_boot(n_boot)
     n = s.n
     rx, ry = _margin_ranks(s, 0), _margin_ranks(s, 1)
     value = _cw_ratio(s.xs, s.xs - s.xs.mean(), _rank_weights(w, rx, n),
                       _rank_weights(w, ry, n))
     se, detail = None, {}
     if n_boot > 0:
-        # w at every average rank a resample can produce: 1, 1.5, ..., n
-        table = _rank_weights(w, np.arange(2, 2 * n + 1) / 2.0, n)
-        gx, gy = _tie_groups(rx), _tie_groups(ry)
+        # w at every average rank a resample can produce, 1, 1.5, ..., n,
+        # and a 0 at each end
+        table = np.pad(_rank_weights(w, np.arange(2, 2 * n + 1) / 2.0, n), 1)
+        (ox, gx), (oy, gy) = _sort_order(rx), _sort_order(ry)
+        x_ox, x_oy = s.xs[ox], s.xs[oy]
+        work = (*np.empty((2, n), dtype=np.intp), *np.empty((2, n)))
 
-        def stat(xr, yr, sel, cs):
-            return _cw_ratio(xr, cs * (xr - (cs @ xr) / n),
-                             _count_rank_weights(table, gx[sel], cs),
-                             _count_rank_weights(table, gy[sel], cs))
+        def stat(c, xs, ys):
+            m = np.dot(c, xs) / n
+            dx, wx, first, last = _margin_terms(c, ox, gx, x_ox, m, table, work)
+            # the drawn xs are constant iff one x tie group holds every draw;
+            # w is non-decreasing, so the lowest drawn x rank has the largest
+            # weight
+            den = dx @ wx
+            _require_spread(first == last, den, dx, wx[first])
+            dy, wy, _, _ = _margin_terms(c, oy, gy, x_oy, m, table, work)
+            return float((dy @ wy) / den)
 
         se, detail = _bootstrap_se(stat, s.xs, s.ys, n_boot, seed)
     return CorrelationReport(value, "empirical", se, w.describe(), detail)
@@ -232,22 +277,43 @@ def empirical_pearson(s: PairedSample, n_boot: int = 200,
     """Plain sample Pearson correlation, for side-by-side comparisons.
 
     A constant margin raises DegenerateSampleError (tested by range, since
-    the mean of equal values can round off them); the bootstrap uses
-    count-weighted moments and skips resamples with a constant margin.
+    the mean of equal values can round off them).  The bootstrap uses
+    count-weighted moments over the full-length counts and skips resamples
+    with a constant margin.  Only a resample whose sum c dx^2 or sum c dy^2
+    is within rounding of zero has its drawn points' range tested.  n_boot
+    < 0 or 0 < n_boot < 10 raises DomainError.
     """
+    _check_n_boot(n_boot)
     if np.ptp(s.xs) == 0.0 or np.ptp(s.ys) == 0.0:
         raise DegenerateSampleError("Pearson correlation undefined: constant margin")
     value = float(np.corrcoef(s.xs, s.ys)[0, 1])
     se, detail = None, {}
     if n_boot > 0:
         n = s.n
+        # Drawn values all equal to v have a count-weighted mean m with
+        # |m - v| <= (n+1) eps |v| (n rounded products and sums, one
+        # division), so their sum c (v - m)^2 stays below n ((n+1) eps M)^2
+        # for M >= |v|; resamples under it get the exact range test.
+        eps = np.finfo(float).eps
+        zx, zy = (n * ((n + 1) * eps * np.abs(v).max()) ** 2 for v in (s.xs, s.ys))
 
-        def stat(xr, yr, sel, cs):
-            if np.ptp(xr) == 0.0 or np.ptp(yr) == 0.0:
-                raise DegenerateSampleError("resample has a constant margin")
-            dx = xr - (cs @ xr) / n
-            dy = yr - (cs @ yr) / n
-            return (cs @ (dx * dy)) / math.sqrt((cs @ (dx * dx)) * (cs @ (dy * dy)))
+        # work arrays reused by every resample, as in _margin_terms; the
+        # counts are copied to floats, since an int-by-float matmul ran 3
+        # to 35 times slower than a float one at n = 5e4
+        cf, dx, dy, t = np.empty((4, n))
+
+        def stat(c, xs, ys):
+            np.copyto(cf, c)
+            np.subtract(xs, (cf @ xs) / n, out=dx)
+            np.subtract(ys, (cf @ ys) / n, out=dy)
+            sxx = np.multiply(cf, dx, out=t) @ dx
+            sxy = t @ dy
+            syy = np.multiply(cf, dy, out=t) @ dy
+            if sxx <= zx or syy <= zy:
+                drawn = c > 0
+                if np.ptp(xs[drawn]) == 0.0 or np.ptp(ys[drawn]) == 0.0:
+                    raise DegenerateSampleError("resample has a constant margin")
+            return sxy / math.sqrt(sxx * syy)
 
         se, detail = _bootstrap_se(stat, s.xs, s.ys, n_boot, seed)
     return CorrelationReport(value, "empirical", se, "n/a", detail)

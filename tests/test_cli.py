@@ -121,6 +121,13 @@ class TestCorr:
         assert code == 2
         assert "empirical" in err or "oracle" in err
 
+    @pytest.mark.parametrize("n_boot", ["-4", "5"])
+    def test_bootstrap_count_that_cannot_work_exits_2(self, capsys, n_boot):
+        code, out, err = run_cli(capsys, "corr", "--family", "bvp1", "--delta", "5.87",
+                                 "--method", "all", "-n", "200", "--bootstrap", n_boot)
+        assert code == 2 and out == ""
+        assert f"n_boot must be 0 (no bootstrap) or at least 10, got {n_boot}" in err
+
     def test_invalid_delta_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "corr", "--family", "bvp1",
                                "--delta", "-1.0", "--method", "closed")

@@ -22,13 +22,14 @@ from ginicorr.distributions import (
 )
 from ginicorr.errors import (
     DegenerateSampleError,
+    DomainError,
     MomentError,
     NoLinearRegressionError,
     UnsupportedPairError,
 )
 from ginicorr.gini import (
     _ranks,
-    _tie_groups,
+    _sort_order,
     closed_cw,
     cov_x_weighted,
     cw_via_regression,
@@ -210,6 +211,21 @@ class TestEmpiricalCw:
         assert r1.std_error == r2.std_error and r1.std_error > 0.0
         assert r1.detail["n_boot_used"] + r1.detail["n_boot_skipped"] == 50
 
+    @pytest.mark.parametrize("n_boot", [-5, -1, 1, 5, 9])
+    def test_resample_counts_that_cannot_work_are_refused(self, monkeypatch, n_boot):
+        # 10 non-degenerate resamples are the fewest a standard error uses
+        s = _random_sample(np.random.default_rng(9), n=50)
+        monkeypatch.setattr(gini, "_bootstrap_se", None)  # nothing is drawn
+        for estimate in (lambda: empirical_cw(s, W_ID, n_boot=n_boot),
+                         lambda: empirical_pearson(s, n_boot=n_boot)):
+            with pytest.raises(DomainError, match="0 .no bootstrap. or at least 10"):
+                estimate()
+
+    def test_ten_resamples_are_enough(self):
+        s = _random_sample(np.random.default_rng(9), n=50)
+        for rep in (empirical_cw(s, W_ID, n_boot=10), empirical_pearson(s, n_boot=10)):
+            assert rep.std_error > 0.0 and rep.detail["n_boot_used"] == 10
+
 
 class TestEmpiricalPearson:
     def test_perfect_linearity(self):
@@ -236,6 +252,22 @@ class TestEmpiricalPearson:
         assert np.isfinite(rep.std_error) and rep.std_error > 0.0
         assert rep.detail["n_boot_skipped"] > 0
         assert rep.detail["n_boot_used"] + rep.detail["n_boot_skipped"] == 200
+
+    def test_skips_exactly_the_constant_margin_resamples(self):
+        # fl(fl(5 v) / 5) != v for these values, so a resample that draws
+        # only copies of one value has a rounding-born nonzero variance; the
+        # rounding screen must still send it to the exact range test
+        xs = np.array([0.11, 0.21, 0.42, 0.83, 0.94])
+        ys = np.array([0.21, 0.21, 0.94, 0.94, 0.11])
+        assert all(5.0 * v / 5.0 != v for v in (0.11, 0.21, 0.94))
+        rng = np.random.default_rng(3)
+        constant = 0
+        for _ in range(200):
+            idx = rng.integers(0, 5, 5)
+            constant += np.ptp(xs[idx]) == 0.0 or np.ptp(ys[idx]) == 0.0
+        rep = empirical_pearson(PairedSample(xs, ys), n_boot=200, seed=3)
+        assert constant > 0
+        assert rep.detail["n_boot_skipped"] == constant
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +317,11 @@ class TestRankKernel:
         assert r.dtype == np.float64
         assert np.array_equal(r, rankdata(v))
         assert np.array_equal(r / (v.size + 1.0), rankdata(v) / (v.size + 1.0))
-        gid = _tie_groups(r)
-        want = np.unique(v, return_inverse=True)[1]
-        assert gid.dtype == want.dtype
-        assert np.array_equal(gid, want)
+        o, starts = _sort_order(r)
+        assert np.array_equal(o, np.argsort(v, kind="stable"))
+        want = np.flatnonzero(np.diff(v[o], prepend=-np.inf))
+        assert (starts is None) == (want.size == v.size)
+        assert starts is None or np.array_equal(starts, want)
 
 
 def _record_sorts(monkeypatch):
@@ -375,10 +408,11 @@ class TestRankCache:
 class TestCountsBootstrap:
     @pytest.mark.parametrize("w", [W_POW2, W_BETA, W_TABLE, None],
                              ids=["power", "beta", "table", "pearson"])
-    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
-    def test_matches_rerank_bootstrap(self, w, tied):
-        s = sample(BVP2(delta=2.1, delta_y=0.5254), 400, seed=17)
-        if tied:  # about 15 distinct values per margin
+    @pytest.mark.parametrize("tied, n", [(False, 400), (True, 400), (False, 5000), (True, 5000)],
+                             ids=["untied", "tied", "untied-n5000", "tied-n5000"])
+    def test_matches_rerank_bootstrap(self, w, tied, n):
+        s = sample(BVP2(delta=2.1, delta_y=0.5254), n, seed=17)
+        if tied:  # 11 to 81 distinct values per margin
             s = PairedSample(np.round(s.xs), np.round(s.ys, 1))
         if w is None:
             rep = empirical_pearson(s, n_boot=200, seed=5)
