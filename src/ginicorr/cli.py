@@ -234,8 +234,6 @@ def cmd_sample(args) -> int:
     fam = build_family(args)
     if fam is None:
         raise CliError("sample needs --family flags")
-    if args.n < 1:
-        raise CliError(f"need -n >= 1, got {args.n}")
     s = sample(fam, args.n, args.seed)
     # Python floats, not numpy scalars: "%.12g" % x is _fmt(x), at a
     # fraction of the cost per value

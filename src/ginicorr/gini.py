@@ -41,7 +41,7 @@ from .errors import (
     MomentError,
     UnsupportedPairError,
 )
-from .specfun import HypergeometricSpec, hyp_pfq, ln_beta
+from .specfun import HypergeometricSpec, _Diagnosed, hyp_pfq, ln_beta
 from .weights import WeightFunction, reflect
 
 _DEGENERATE_REL = 1e-12
@@ -348,12 +348,13 @@ def lambda_w_margin(margin, w: WeightFunction) -> float:
     """Population lambda_w of a parametric margin by tail-variable quadrature.
 
     lambda_w = Cov[X, w(F_X)] / Cov[X, w*(F_X)] = Cov[X, w*(1-F_X)] / Cov[X, w(1-F_X)],
-    since w(F) = 1 - w*(1-F) for the reflected weight w* = reflect(w).
+    since w(F) = 1 - w*(1-F) for the reflected weight w* = reflect(w).  It
+    carries both quadratures' `nfev`, summed, and `error`, propagated.
     """
     cov_sf = _oracle.quad_cov_margin(margin, w)
     if cov_sf == 0.0:
         raise DegenerateSampleError("lambda_w undefined: constant weight")
-    return _oracle.quad_cov_margin(margin, reflect(w)) / cov_sf
+    return _oracle._ratio(_oracle.quad_cov_margin(margin, reflect(w)), cov_sf)
 
 
 def lambda_w(x, w: WeightFunction) -> float:
@@ -372,23 +373,28 @@ def lambda_w(x, w: WeightFunction) -> float:
 # marginal covariance building blocks
 # ---------------------------------------------------------------------------
 
-def cov_x_weighted(m: ParetoIIMargin, w: WeightFunction) -> float:
-    """Cov[X, w(1 - F_X(X))] for a Pareto II margin.
+def cov_x_weighted(m, w: WeightFunction) -> float:
+    """Cov[X, w(1 - F_X(X))] for any margin.
 
-    Closed forms for power weights,
+    A Pareto II margin requires delta > 1 and has closed forms for power
+    weights,
         -(gamma/(gamma+1)) sigma delta / ((delta-1)(delta(gamma+1)-1)),
     and beta-c.d.f. weights,
-        (sigma delta/(delta-1)) (1 - B(a+1-1/delta, b)/B(a, b) - b/(a+b));
-    table weights route to the quadrature oracle.  Negative for any
-    non-constant admissible weight.  Requires delta > 1.
+        (sigma delta/(delta-1)) (1 - B(a+1-1/delta, b)/B(a, b) - b/(a+b)),
+    whose value carries error 0.0 and nfev 0.  Any other margin or weight
+    returns oracle.quad_cov_margin's value, which carries its quadrature
+    error and evaluations.  Negative for any non-constant admissible weight.
     """
-    if m.delta <= 1.0:
-        raise MomentError(f"covariance needs delta > 1, got {m.delta}")
-    d, sig, gamma = m.delta, m.sigma, w.gamma
-    if w.kind in ("identity", "power"):
-        return -(gamma / (gamma + 1.0)) * sig * d / ((d - 1.0) * (d * (gamma + 1.0) - 1.0))
-    if w.kind == "beta_cdf":
-        return (sig * d / (d - 1.0)) * _beta_shape(d, w.a, w.b)
+    if isinstance(m, ParetoIIMargin):
+        if m.delta <= 1.0:
+            raise MomentError(f"covariance needs delta > 1, got {m.delta}")
+        d, sig, gamma = m.delta, m.sigma, w.gamma
+        if w.kind in ("identity", "power"):
+            value = -(gamma / (gamma + 1.0)) * sig * d / ((d - 1.0) * (d * (gamma + 1.0) - 1.0))
+            return _Diagnosed(value, error=0.0, nfev=0)
+        if w.kind == "beta_cdf":
+            return _Diagnosed((sig * d / (d - 1.0)) * _beta_shape(d, w.a, w.b),
+                              error=0.0, nfev=0)
     return _oracle.quad_cov_margin(m, w)
 
 
@@ -397,26 +403,16 @@ def _beta_shape(d: float, a: float, b: float) -> float:
     return 1.0 - math.exp(ln_beta(a + 1.0 - 1.0 / d, b) - ln_beta(a, b)) - b / (a + b)
 
 
-def _cov_margin_weighted(margin, w: WeightFunction):
-    """Cov[X, w(1-F_X)] with the quadrature error estimate and evaluations.
-
-    A Pareto closed form contributes (value, 0.0, 0).
-    """
-    if isinstance(margin, ParetoIIMargin) and w.kind != "table":
-        return cov_x_weighted(margin, w), 0.0, 0
-    return _oracle._tail_cov(margin, w)
-
-
 def _margin_covs(f: BivariateFamily, w: WeightFunction):
     """(Cov[X, w(1-F_X)], Cov[Y, w(1-F_Y)], quadrature diagnostics) of f's margins.
 
     A constant weight has no C_w: it raises DegenerateSampleError.
     """
-    (cov_x, err_x, n_x), (cov_y, err_y, n_y) = (
-        _cov_margin_weighted(m, w) for m in margins(f))
+    cov_x, cov_y = (cov_x_weighted(m, w) for m in margins(f))
     if cov_x == 0.0 or cov_y == 0.0:
         raise DegenerateSampleError("C_w undefined: constant weight")
-    return cov_x, cov_y, {"quad_error": err_x + err_y, "quad_nfev": n_x + n_y}
+    return cov_x, cov_y, {"quad_error": cov_x.error + cov_y.error,
+                          "quad_nfev": cov_x.nfev + cov_y.nfev}
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +454,8 @@ def _bvp3_closed(f: BVP3, gamma: float) -> tuple[float, dict]:
     cov_den = cov_x_weighted(ParetoIIMargin(0.0, 1.0, dxs), WeightFunction.power(gamma))
     detail = {"h": f.delta_x + (gamma + 1.0) * dys - 1.0,
               "series_margin": min(v.margin for v in sums),
-              "series_terms": sum(v.terms for v in sums)}
+              "series_terms": sum(v.terms for v in sums),
+              "series_tail_share": max(v.tail_share for v in sums)}
     return cov_num / cov_den, detail
 
 
@@ -469,7 +466,9 @@ def closed_cw(f: BivariateFamily, w: WeightFunction) -> CorrelationReport:
     admissible weight.  BVP1: 1/delta for every admissible weight (delta > 1).
     BVP2: power or beta-c.d.f. weights.  BVP3: power weights; detail
     records the direct 3F2 margin h, the smallest margin actually summed
-    (series_margin, at least 1) and the total terms summed (series_terms).
+    (series_margin, at least 1), the total terms summed (series_terms) and
+    the largest share of a sum that its tail estimate makes up
+    (series_tail_share).
     Every Pareto value has an independent check in oracle.hoeffding_cw,
     which also covers the pairs raising UnsupportedPairError here.
     """

@@ -28,7 +28,7 @@ from .distributions import (
     _draw,
 )
 from .errors import DegenerateSampleError, DomainError, MomentError, QuadratureError
-from .specfun import ln_beta
+from .specfun import _Diagnosed, ln_beta
 from .weights import WeightFunction, reflect
 
 
@@ -81,11 +81,15 @@ def _tanhsinh(f, lo, hi, args=(), **kw):
     return out
 
 
-def _tail_cov(margin, w: WeightFunction):
-    """Cov[X, w(1 - F_X(X))] by tanh-sinh: (value, error estimate, evaluations).
+def quad_cov_margin(margin, w: WeightFunction) -> float:
+    """Cov[X, w(1 - F_X(X))] by tail-variable tanh-sinh quadrature.
 
-    Integrates the one centred integrand Qbar(t) (w(t) - wbar) over the tail
-    variable t = 1 - F_X(x), with Qbar(t) = Q(1 - t) from the margin's
+    `margin` is a ParetoIIMargin, NormalMargin or StudentTMargin.  Requires
+    a finite mean.  The float returned also carries the quadrature's error
+    estimate (`error`) and its evaluations (`nfev`).
+
+    Integrates the one centred integrand Qbar(t) (w(t) - wbar) over the
+    tail variable t = 1 - F_X(x), with Qbar(t) = Q(1 - t) from the margin's
     `tail_quantile` in t = s^k (see _tail_power).  Symmetric margins fold
     the upper half onto the lower, Qbar(1 - t) = -Qbar(t), and integrate
     Qbar(t) (w(t) + w*(t) - 1) over (0, 1/2], with w*(t) = 1 - w(1 - t)
@@ -124,16 +128,14 @@ def _tail_cov(margin, w: WeightFunction):
             f"{status.astype(int).tolist()}, {nfev} evaluations)",
             estimate=value, error_estimate=error,
         )
-    return value, error, nfev
+    return _Diagnosed(value, error=error, nfev=nfev)
 
 
-def quad_cov_margin(margin, w: WeightFunction) -> float:
-    """Cov[X, w(1 - F_X(X))] by tail-variable tanh-sinh quadrature.
-
-    `margin` is a ParetoIIMargin, NormalMargin or StudentTMargin.  Requires
-    a finite mean.
-    """
-    return _tail_cov(margin, w)[0]
+def _ratio(num: float, den: float) -> float:
+    """num / den, carrying the error of both to first order and their summed nfev."""
+    value = num / den
+    return _Diagnosed(value, error=(num.error + abs(value) * den.error) / abs(den),
+                      nfev=num.nfev + den.nfev)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +155,10 @@ def hoeffding_cw(f: BivariateFamily, w: WeightFunction) -> float:
     at the ridge p = q where L bends once q < 1/e; L comes from log p and
     log q.  Both are tanhsinh from level 3, with the tolerances scaled by
     1e-2 per level of nesting.  The denominator is quad_cov_margin.  No
-    density expansion, 3F2 series or regression line enters.
+    density expansion, 3F2 series or regression line enters.  The float
+    returned carries `nfev`, the outer, inner and denominator evaluations,
+    and `error`: the numerator's (outer plus largest inner) and the
+    denominator's, propagated to the ratio.
     """
     if not isinstance(f, PARETO_FAMILIES):
         raise DomainError(f"the Hoeffding oracle covers the Pareto families, not {f!r}")
@@ -176,7 +181,7 @@ def hoeffding_cw(f: BivariateFamily, w: WeightFunction) -> float:
     k = _tail_power(dxs)
     cx, px = k / dxs, k * (1.0 - 1.0 / dxs) - 1.0
     tol = dict(minlevel=3, atol=QUAD_ABS_TOL * 1e-4, rtol=QUAD_REL_TOL * 1e-4)
-    inner_fails, inner_error = 0, 0.0
+    inner_fails, inner_error, inner_nfev = 0, 0.0, 0
 
     def bracket(t, lq):
         lp = cx * np.log(t)                                 # log p
@@ -187,7 +192,7 @@ def hoeffding_cw(f: BivariateFamily, w: WeightFunction) -> float:
         return cx * t ** px * np.exp(dys * lq + el) * -np.expm1(-el)
 
     def inner(r, s0, ds, scale):
-        nonlocal inner_fails, inner_error
+        nonlocal inner_fails, inner_error, inner_nfev
         ls = np.log(s0 + r * ds)
         lq, lv = ls / (p * dys), ls / p                     # log q, log v
         tail = -np.expm1(lv)                                # 1 - v
@@ -201,24 +206,27 @@ def hoeffding_cw(f: BivariateFamily, w: WeightFunction) -> float:
         ridge = np.where(lq < -1.0, np.exp(lq / cx), 1.0)
         t0 = np.concatenate([np.zeros_like(ridge), ridge])
         t1 = np.concatenate([ridge, np.ones_like(ridge)])
-        part, error, status, _ = _tanhsinh(bracket, t0, t1, args=(np.tile(lq, 2),), **tol)
+        part, error, status, nfev = _tanhsinh(bracket, t0, t1, args=(np.tile(lq, 2),), **tol)
         inner_fails += int(np.count_nonzero(status))
         inner_error = max(inner_error, float(error.max(initial=0.0)))
+        inner_nfev += int(nfev.sum())
         value = np.zeros(r.shape)
         value[live] = part.reshape(2, -1).sum(axis=0)
         return value * g
 
-    value, error, status, _ = _tanhsinh(inner, np.zeros_like(s0), np.ones_like(s0),
-                                        args=(s0, ds, scale), minlevel=3,
-                                        atol=QUAD_ABS_TOL * 1e-2, rtol=QUAD_REL_TOL * 1e-2)
+    value, error, status, nfev = _tanhsinh(inner, np.zeros_like(s0), np.ones_like(s0),
+                                           args=(s0, ds, scale), minlevel=3,
+                                           atol=QUAD_ABS_TOL * 1e-2, rtol=QUAD_REL_TOL * 1e-2)
     cov_num = -float(value.sum())
+    error = float(error.sum()) + inner_error
     if np.any(status != 0) or inner_fails:
         raise QuadratureError(
             f"Hoeffding quadrature did not converge (outer status "
             f"{status.astype(int).tolist()}, {inner_fails} inner integrals failed)",
-            estimate=cov_num, error_estimate=float(error.sum()) + inner_error,
+            estimate=cov_num, error_estimate=error,
         )
-    return cov_num / cov_den
+    return _ratio(_Diagnosed(cov_num, error=error, nfev=int(nfev.sum()) + inner_nfev),
+                  cov_den)
 
 
 def quad2_bvp3_moment(f: BVP3, gamma: float) -> float:

@@ -123,25 +123,22 @@ def _term_log_ratio(upper, lower, k: int) -> float:
     return out
 
 
-class _UnitSum(float):
-    """A z = 1 series sum that also records how it was obtained.
+class _Diagnosed(float):
+    """A float that also carries named diagnostics as attributes.
 
-    representation is "direct" or "thomae", margin the convergence margin
-    of the series actually summed and terms the number of terms it took.
-    It is a float, so callers that want only the value see no difference.
+    Every number that a series or a quadrature produced is returned as one:
+    hyp_pfq's sums carry representation, margin, terms and tail_share, the
+    covariance routes error and nfev.  Arithmetic on it gives a plain float,
+    so callers that want only the value see no difference.
     """
 
-    def __new__(cls, value: float, representation: str, margin: float,
-                terms: int):
+    def __new__(cls, value: float, **diagnostics):
         out = super().__new__(cls, value)
-        out.representation = representation
-        out.margin = margin
-        out.terms = terms
+        out.__dict__.update(diagnostics)
         return out
 
 
-def _sum_unit_argument(spec: HypergeometricSpec,
-                       representation: str = "direct") -> tuple[float, int]:
+def _sum_unit_argument(spec: HypergeometricSpec, representation: str) -> _Diagnosed:
     """Positive-term series at z = 1 with an algebraic tail correction.
 
     Terms decay like k^(-1-h); a bare term-vs-sum stop rule leaves a tail of
@@ -149,8 +146,8 @@ def _sum_unit_argument(spec: HypergeometricSpec,
         T_k = t_k * (k/h + 1/2 - e1 / (h (1+h))),
     e1 = (h + sum a^2 - sum b^2) / 2, whose residual shrinks like
     T_k / k^2, and stop once that residual estimate clears SERIES_REL_TOL.
-    Returns the sum and the number of terms summed; `representation` only
-    names the series in the SeriesCapError message.
+    The sum carries `representation` ("direct" or "thomae"), its margin h,
+    the terms summed and the tail estimate's share of the sum.
     """
     upper, lower, h = spec.upper, spec.lower, spec.h
     e1 = (h + sum(a * a for a in upper) - sum(b * b for b in lower)) / 2.0
@@ -176,40 +173,13 @@ def _sum_unit_argument(spec: HypergeometricSpec,
                 # residual of (sum + tail) decays ~ tail / k^2; 5x safety margin
                 # (measured residual is 50-3000x below tail/k^2 for h in [0.5, 5])
                 if tail * 5.0 <= SERIES_REL_TOL * abs(s) * kk * kk:
-                    return s + tail, kk
+                    return _Diagnosed(s + tail, representation=representation, margin=h,
+                                      terms=kk, tail_share=tail / (s + tail))
     raise SeriesCapError(
         f"series cap {SERIES_TERM_CAP} reached at z=1 in the {representation} "
         f"representation (margin {h:.6g}); partial sum {s!r}",
         partial_sum=s, last_term=t, terms=SERIES_TERM_CAP,
     )
-
-
-def _sum_at_one(spec: HypergeometricSpec) -> _UnitSum:
-    """z = 1 sum in whichever representation has the larger margin.
-
-    Thomae's transformation (DLMF 16.4.11) pivoting on an upper parameter
-    a with a < d and a < e, the lower ones,
-        3F2(a, b, c; d, e; 1) = G(d) G(e) G(h) / (G(a) G(h+b) G(h+c))
-                                * 3F2(d-a, e-a, h; h+b, h+c; 1),
-    turns the margin h into a and keeps every parameter > 0.  The pivot is
-    the largest such a, taken only when a > h, so a series whose direct
-    margin is the largest is summed exactly as written.
-    """
-    h = spec.h
-    pivots = ([a for a in spec.upper if h < a < min(spec.lower)]
-              if len(spec.upper) == 3 else [])
-    if not pivots:
-        value, terms = _sum_unit_argument(spec)
-        return _UnitSum(value, "direct", h, terms)
-    a = max(pivots)
-    rest = list(spec.upper)
-    rest.remove(a)
-    (b, c), (d, e) = rest, spec.lower
-    thomae = HypergeometricSpec((d - a, e - a, h), (h + b, h + c), 1.0)
-    value, terms = _sum_unit_argument(thomae, "thomae")
-    log_pre = (math.lgamma(d) + math.lgamma(e) + math.lgamma(h) - math.lgamma(a)
-               - math.lgamma(h + b) - math.lgamma(h + c))
-    return _UnitSum(math.exp(log_pre) * value, "thomae", a, terms)
 
 
 def hyp_pfq(spec: HypergeometricSpec) -> float:
@@ -218,15 +188,32 @@ def hyp_pfq(spec: HypergeometricSpec) -> float:
     Deterministic; raises ConvergenceError when h <= 0 and SeriesCapError
     (carrying the partial sum and last term of the series summed, and
     naming its representation and margin) when the term cap is exhausted.
+    The float returned also carries `representation`, `margin`, `terms` and
+    `tail_share`, the Euler-Maclaurin tail estimate's share of the sum.
 
-    A 3F2 is summed directly or, when one of its upper parameters a is
-    below both lower ones and above the margin h, as its Thomae transform,
-    whose margin is a; the larger margin wins (see _sum_at_one).  A 2F1 is
-    summed directly.  The float returned also carries `representation`,
-    `margin` and `terms`.
+    A 2F1 is summed directly.  A 3F2 is summed in whichever representation
+    has the larger margin: directly, or by Thomae's transformation (DLMF
+    16.4.11) pivoting on an upper parameter a with a < d and a < e, the
+    lower ones,
+        3F2(a, b, c; d, e; 1) = G(d) G(e) G(h) / (G(a) G(h+b) G(h+c))
+                                * 3F2(d-a, e-a, h; h+b, h+c; 1),
+    which turns the margin h into a and keeps every parameter > 0.  The
+    pivot is the largest such a, taken only when a > h, so a series whose
+    direct margin is the largest is summed exactly as written.
     """
-    if spec.h <= 0.0:
-        raise ConvergenceError(
-            f"series diverges at z=1: convergence margin h={spec.h:.6g} <= 0"
-        )
-    return _sum_at_one(spec)
+    h = spec.h
+    if h <= 0.0:
+        raise ConvergenceError(f"series diverges at z=1: convergence margin h={h:.6g} <= 0")
+    pivots = ([a for a in spec.upper if h < a < min(spec.lower)]
+              if len(spec.upper) == 3 else [])
+    if not pivots:
+        return _sum_unit_argument(spec, "direct")
+    a = max(pivots)
+    rest = list(spec.upper)
+    rest.remove(a)
+    (b, c), (d, e) = rest, spec.lower
+    thomae = _sum_unit_argument(
+        HypergeometricSpec((d - a, e - a, h), (h + b, h + c), 1.0), "thomae")
+    log_pre = (math.lgamma(d) + math.lgamma(e) + math.lgamma(h) - math.lgamma(a)
+               - math.lgamma(h + b) - math.lgamma(h + c))
+    return _Diagnosed(math.exp(log_pre) * thomae, **dict(vars(thomae), margin=a))

@@ -152,7 +152,7 @@ def gini_premium(s: PairedSample, w: WeightFunction,
 def margin_gini_premium(margin, w: WeightFunction) -> float:
     """Population pi_{G,w}[Y] = E[Y] + Cov[Y, w(1-F_Y)] / E[w(U)] for a margin."""
     ew = w.mean_on_unit()
-    cov = _gini._cov_margin_weighted(margin, w)[0]
+    cov = _gini.cov_x_weighted(margin, w)
     return margin.mean() + cov / ew
 
 

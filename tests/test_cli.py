@@ -228,6 +228,13 @@ class TestSample:
                              "--delta", "0.0", "-n", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_too_few_pairs_exit_2_with_the_sampler_message(self, capsys, n):
+        code, out, err = run_cli(capsys, "sample", "--family", "bvp1",
+                                 "--delta", "3.0", "-n", str(n))
+        assert (code, out) == (2, "")
+        assert err == f"error: need n >= 3 for a paired sample, got {n}\n"
+
     def test_csv_and_json_print_12_digits_and_read_back(self, capsys, tmp_path):
         flags = ("--family", "bvp3", "--delta", "1.5", "--delta-x", "1.5",
                  "--delta-y", "1.0", "-n", "1000", "--seed", "7")
@@ -515,8 +522,9 @@ class TestVerify:
         # cross-check must catch it
         orig = ginicorr.gini.cov_x_weighted
 
-        def flipped(m, w):
-            return -orig(m, w)
+        def flipped(m, w):  # keeps the error and nfev the routes read
+            cov = orig(m, w)
+            return type(cov)(-cov, **vars(cov))
 
         monkeypatch.setattr(ginicorr.verify, "gini", ginicorr.gini)
         monkeypatch.setattr(ginicorr.gini, "cov_x_weighted", flipped)

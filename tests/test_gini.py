@@ -664,6 +664,7 @@ class TestClosedCw:
             assert detail["h"] == pytest.approx(dx + (gamma + 1.0) * (delta + dy) - 1.0)
             assert detail["series_margin"] >= 1.0
             assert detail["series_margin"] >= min(detail["h"], 2.0)
+            assert 0.0 < detail["series_tail_share"] < 1e-3
             worst_terms = max(worst_terms, detail["series_terms"])
         # four series together, against the cap on each one
         assert worst_terms < SERIES_TERM_CAP // 5

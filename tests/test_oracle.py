@@ -426,7 +426,7 @@ class TestHoeffdingCw:
             assert hoeffding_cw(f, WeightFunction.beta_cdf(a, 1.0)) == pytest.approx(
                 hoeffding_cw(f, WeightFunction.power(a)), abs=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2 'Scale': the quadrature "
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4 'Scale': the quadrature "
                        "tolerances are absolute, and this table weight's covariances "
                        "lie far below them (reads 0.50000004)")
     def test_table_rise_far_below_the_absolute_tolerance(self):
@@ -441,6 +441,71 @@ class TestHoeffdingCw:
             hoeffding_cw(BVP1(delta=1.0), WeightFunction.identity())
         with pytest.raises(DegenerateSampleError, match="constant weight"):
             hoeffding_cw(BVP2(delta=2.1, delta_y=0.5), WeightFunction.table((0, 1), (0.5, 0.5)))
+
+
+class TestDiagnostics:
+    """Every covariance route's value carries its error and evaluation count."""
+
+    F2 = BVP2(delta=2.1, delta_y=0.5254)
+    W_TABLE = WeightFunction.table([0.0, 0.4, 1.0], [0.0, 0.1, 1.0])
+    W_BETA = WeightFunction.beta_cdf(2.0, 2.0)
+
+    @pytest.mark.parametrize("w", [WeightFunction.power(2.0), W_BETA],
+                             ids=lambda w: w.describe())
+    def test_pareto_closed_forms_carry_no_quadrature(self, w):
+        got = cov_x_weighted(ParetoIIMargin(0.0, 1.0, 2.1), w)
+        assert (got.error, got.nfev) == (0.0, 0)
+
+    @pytest.mark.parametrize("m,w", [(ParetoIIMargin(0.0, 1.0, 2.1), W_TABLE),
+                                     (NormalMargin(1.0, 2.0), W_BETA),
+                                     (StudentTMargin(0.0, 1.0, 3.0), W_TABLE)])
+    def test_cov_x_weighted_is_the_quadrature_elsewhere(self, m, w):
+        got, want = cov_x_weighted(m, w), quad_cov_margin(m, w)
+        assert (got, got.error, got.nfev) == (want, want.error, want.nfev)
+        assert got.error >= 0.0 and got.nfev > 0
+
+    @pytest.mark.parametrize("f,w", [(F2, W_TABLE), (Normal(rho=0.5), W_BETA)])
+    def test_regression_detail_sums_its_two_covariances(self, f, w):
+        covs = [cov_x_weighted(m, w) for m in margins(f)]
+        detail = cw_via_regression(f, w).detail
+        assert detail["quad_nfev"] == sum(c.nfev for c in covs)
+        assert detail["quad_error"] == sum(c.error for c in covs)
+
+    @pytest.mark.parametrize("f,w", [(F2, WeightFunction.power(1.0)), (F2, W_BETA),
+                                     (BVP3(delta=1.5, delta_x=1.5, delta_y=1.0),
+                                      WeightFunction.power(1.0))])
+    def test_hoeffding_counts_more_than_its_denominator(self, f, w):
+        got = hoeffding_cw(f, w)
+        den = quad_cov_margin(margins(f)[0], w)  # standard units, as hoeffding_cw's
+        assert got.error >= 0.0 and got.nfev > den.nfev
+        if isinstance(f, BVP3):
+            front = quad2_bvp3_moment(f, w.gamma)
+            assert (front, front.error, front.nfev) == (got, got.error, got.nfev)
+
+    def test_lambda_w_margin_sums_both_quadratures(self):
+        m = ParetoIIMargin(0.0, 1.0, 2.1)
+        got = lambda_w_margin(m, self.W_TABLE)
+        covs = quad_cov_margin(m, self.W_TABLE), quad_cov_margin(m, reflect(self.W_TABLE))
+        assert got.nfev == covs[0].nfev + covs[1].nfev
+        assert got.error >= covs[1].error / abs(covs[0])
+
+
+class TestTailIndexNearOne:
+    """BVP1 below tail index 1.01, where the hypothesis sweeps stop."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", [WeightFunction.power(1.0), WeightFunction.power(0.05),
+                                   WeightFunction.beta_cdf(0.5, 0.5)],
+                             ids=lambda w: w.describe())
+    @pytest.mark.parametrize("delta", [1.005, 1.002, 1.001])
+    def test_oracles_agree_with_the_closed_forms(self, delta, w):
+        f = BVP1(delta=delta)
+        m = margins(f)[0]
+        cw, quad, closed = hoeffding_cw(f, w), quad_cov_margin(m, w), cov_x_weighted(m, w)
+        assert abs(cw - 1.0 / delta) <= 1e-12
+        assert abs(quad - closed) <= 1e-12 * abs(closed)
+        for got in (cw, quad):
+            assert got.error >= 0.0 and got.nfev > 0
 
 
 class TestQuadratureTolerances:

@@ -7,6 +7,7 @@ gamma-function identities.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -215,6 +216,16 @@ class TestHypPfq:
         # 2F1 keeps its direct path whatever its margin
         unit_2f1 = hyp_pfq(HypergeometricSpec((0.5, 0.5), (1.5,), 1.0))
         assert unit_2f1.representation == "direct"
+
+    def test_tail_share_is_the_part_beyond_the_terms_summed(self):
+        # 2F1(2, 1; 4.5; 1) = 7/3 by Gauss's sum
+        got = hyp_pfq(HypergeometricSpec((2.0, 1.0), (4.5,), 1.0))
+        partial = mp.nsum(lambda j: mp.rf(2, j) * mp.rf(1, j) / (mp.rf(4.5, j) * mp.factorial(j)),
+                          [0, got.terms - 1])
+        assert got.tail_share == pytest.approx(float(1 - partial * 3 / 7), rel=1e-6)
+        # a Thomae sum reports the share of the series it summed
+        small = hyp_pfq(HypergeometricSpec((3.0, 2.0, 1.0), (4.02, 2.111), 1.0))
+        assert small.representation == "thomae" and 0.0 < small.tail_share < 1e-3
 
     @given(h=st.floats(0.01, 1.0), a=st.floats(0.5, 4.0), b=st.floats(0.5, 4.0),
            pivot=st.integers(0, 2), split=st.floats(0.05, 0.95),
