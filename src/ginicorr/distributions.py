@@ -28,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-# scipy.special is imported inside the normal and Student t tail quantiles
+# scipy.special is imported inside the normal and Student t Lorenz gaps
 # and scipy.stats inside joint_ddf, not here: either takes longer to import
 # than the whole package, and the Pareto families, which most commands use,
 # need neither.
@@ -124,10 +124,7 @@ class ParetoIIMargin:
     delta: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma}")
-        if not self.delta > 0.0:
-            raise DomainError(f"delta must be > 0, got {self.delta}")
+        _require(self, positive=("sigma", "delta"))
 
     def ddf(self, x):
         z = np.maximum((np.asarray(x, dtype=float) - self.mu) / self.sigma, 0.0)
@@ -147,19 +144,15 @@ class ParetoIIMargin:
             raise MomentError(f"Pareto mean infinite for delta={self.delta} <= 1")
         return self.mu + self.sigma / (self.delta - 1.0)
 
-    symmetric = False
+    def lorenz_gap(self, log_v, log_u):
+        """Lorenz gap L(v) = int_0^v (Q(1 - t) - E[X]) dt, for delta > 1.
 
-    @property
-    def tail_index(self) -> float:
-        return self.delta
-
-    def tail_quantile(self, s, k: float = 1.0):
-        """(Q(1 - t) - mu) dt/ds at t = s^k, the upper tail in the tail variable.
-
-        k sigma (s^(k-1-k/delta) - s^(k-1)), formed from s directly: no part
-        of the tail is lost to a t = s^k that underflows.
+        sigma delta/(delta-1) (v^(1-1/delta) - v), formed from log v alone
+        (log u = log(1 - v) is not needed) as -v^(1-1/delta) expm1(log v /
+        delta), so a v that underflows loses nothing.
         """
-        return k * self.sigma * (s ** (k - 1.0 - k / self.delta) - s ** (k - 1.0))
+        d = self.delta
+        return -self.sigma * d / (d - 1.0) * np.exp((1.0 - 1.0 / d) * log_v) * np.expm1(log_v / d)
 
 
 @dataclass(frozen=True)
@@ -168,20 +161,17 @@ class NormalMargin:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma}")
+        _require(self, positive=("sigma",))
 
     def mean(self) -> float:
         return self.mu
 
-    symmetric = True
-    tail_index = math.inf
-
-    def tail_quantile(self, s, k: float = 1.0):
-        """(Q(1 - t) - mu) dt/ds at t = s^k, for t in (0, 1/2]."""
+    def lorenz_gap(self, log_v, log_u):
+        """sigma phi(z), z the standard normal quantile of min(v, 1 - v) (L is symmetric)."""
         from scipy import special
 
-        return -k * self.sigma * s ** (k - 1.0) * special.ndtri(s ** k)
+        z = special.ndtri(np.exp(np.minimum(log_v, log_u)))
+        return self.sigma * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -193,49 +183,49 @@ class StudentTMargin:
     nu: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma}")
+        _require(self, positive=("sigma",))
         if not self.nu > 1.0:
             raise DomainError(f"need nu > 1 for a finite mean, got {self.nu}")
 
     def mean(self) -> float:
         return self.mu
 
-    symmetric = True
+    def lorenz_gap(self, log_v, log_u):
+        """sigma (nu + z^2)/(nu - 1) f(z), z = stdtrit(nu, min(v, 1 - v)) (L is symmetric).
 
-    @property
-    def tail_index(self) -> float:
-        return self.nu
-
-    def tail_quantile(self, s, k: float = 1.0):
-        """(Q(1 - t) - mu) dt/ds at t = s^k, for t in (0, 1/2].
-
-        stdtrit saturates near |x| = 7e153, so past x = 1e20 the leading
-        tail term x = (c/t)^(1/nu) of P[T < -x] ~ c x^(-nu) is used, whose
-        relative error there is O(x^-2).  That branch is formed from log s,
-        so a t that underflows loses nothing either.
+        With the density f(z) = K (1 + z^2/nu)^(-(nu+1)/2) this is
+        sigma nu/(nu - 1) K (1 + z^2/nu)^(-(nu-1)/2).  stdtrit saturates
+        near |z| = 7e153, so past |z| = 1e20 log(1 + z^2/nu) comes from the
+        leading tail term |z| = (c/v)^(1/nu) of P[T < z] ~ c |z|^(-nu),
+        whose relative error there is O(z^-2).  That branch is formed from
+        log min(v, 1 - v), so a tail that underflows loses nothing either.
         """
         from scipy import special
 
         nu = self.nu
-        log_c = (math.lgamma((nu + 1.0) / 2.0) + (nu / 2.0 - 1.0) * math.log(nu)
-                 - 0.5 * math.log(math.pi) - math.lgamma(nu / 2.0))
-        log_s = np.log(s)
-        far = k * log_s < log_c - nu * math.log(1e20)
-        near = -special.stdtrit(nu, np.where(far, 0.25, s ** k)) * s ** (k - 1.0)
-        tail = np.exp(log_c / nu + (k - 1.0 - k / nu) * log_s)
-        return k * self.sigma * np.where(far, tail, near)
+        log_k = (math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)
+                 - 0.5 * math.log(nu * math.pi))
+        log_c = log_k + 0.5 * (nu - 1.0) * math.log(nu)
+        lt = np.minimum(log_v, log_u)
+        far = lt < log_c - nu * math.log(1e20)
+        z = special.stdtrit(nu, np.where(far, 0.25, np.exp(lt)))
+        lz = np.where(far, 2.0 * (log_c - lt) / nu - math.log(nu), np.log1p(z * z / nu))
+        return self.sigma * nu / (nu - 1.0) * np.exp(log_k - 0.5 * (nu - 1.0) * lz)
+
+
+def _require(obj, positive=()):
+    """DomainError naming the first field of obj not > 0 (if in positive) or not finite."""
+    for fl in fields(obj):
+        value = getattr(obj, fl.name)
+        if fl.name in positive and not value > 0.0:
+            raise DomainError(f"{fl.name} must be > 0, got {value}")
+        if not math.isfinite(value):
+            raise DomainError(f"{fl.name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
-
-def _require_positive(**kwargs):
-    for name, value in kwargs.items():
-        if not value > 0.0:
-            raise DomainError(f"{name} must be > 0, got {value}")
-
 
 class _Family:
     """What the five families share: describe() from `name` and the fields."""
@@ -258,7 +248,7 @@ class Normal(_Family):
     rho: float = 0.0
 
     def __post_init__(self):
-        _require_positive(sigma_x=self.sigma_x, sigma_y=self.sigma_y)
+        _require(self, positive=("sigma_x", "sigma_y"))
         if not abs(self.rho) < 1.0:
             raise DomainError(f"|rho| must be < 1, got {self.rho}")
 
@@ -282,7 +272,7 @@ class EllipticalT(_Family):
     nu: float = 3.0
 
     def __post_init__(self):
-        _require_positive(sigma_x=self.sigma_x, sigma_y=self.sigma_y)
+        _require(self, positive=("sigma_x", "sigma_y"))
         if not self.nu > 1.0:
             raise DomainError(f"need nu > 1, got {self.nu}")
         det = self.sigma_x ** 2 * self.sigma_y ** 2 - self.sigma_xy ** 2
@@ -308,7 +298,7 @@ class _Pareto(_Family):
     delta: float = 2.0
 
     def __post_init__(self):
-        _require_positive(**{fl.name: getattr(self, fl.name) for fl in fields(self)[2:]})
+        _require(self, positive=[fl.name for fl in fields(self)[2:]])
 
     @property
     def delta_x_star(self) -> float:
@@ -387,9 +377,16 @@ def _draw(f: BivariateFamily, n: int, rng: np.random.Generator):
     raise DomainError(f"unknown family {f!r}")
 
 
+def _checked_seed(seed: int) -> int:
+    """seed itself; a negative one, which numpy refuses untyped, raises DomainError."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def chunk_seeds(seed: int, n_chunks: int):
     """Counter-derived child seeds: stream i draws from (seed, i)."""
-    return [np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+    return [np.random.SeedSequence(entropy=_checked_seed(seed), spawn_key=(i,))
             for i in range(n_chunks)]
 
 
@@ -402,7 +399,7 @@ def sample(f: BivariateFamily, n: int, seed: int) -> PairedSample:
     """
     if n < 3:
         raise DomainError(f"need n >= 3 for a paired sample, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     x, y = _draw(f, n, rng)
     return PairedSample(x, y, {"family": f.describe(), "seed": int(seed), "n": int(n)})
 

@@ -31,6 +31,7 @@ from .distributions import (
     Normal,
     PairedSample,
     ParetoIIMargin,
+    _checked_seed,
     bvp3_pdf_terms,
     margins,
     regression_line,
@@ -201,7 +202,7 @@ def _bootstrap_se(stat, xs: np.ndarray, ys: np.ndarray, n_boot: int,
     one point n times.)  Returns the standard error and a detail map with
     the resamples used and skipped.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     n = xs.size
     vals = []
     for _ in range(n_boot):

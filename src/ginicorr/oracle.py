@@ -1,14 +1,18 @@
 """Independent brute-force validators.
 
-Vectorised tanh-sinh quadrature of marginal covariances in the tail variable
-t = 1 - F(x) (which tames the heavy tails: the integrand lives on (0,1), and
-a substitution t = s^k keeps the part near the tail that doubles cannot
-reach negligible), the weighted Gini correlation of the three Pareto
-families for every weight from Hoeffding's identity over their joint
-survival function, and seeded Monte Carlo reference estimates whose
-standard errors come from replication spread rather than within-run
-asymptotics (heavy tails make the latter unreliable).  Every
-quadrature is tanh-sinh; any non-zero status raises QuadratureError.
+Tanh-sinh quadrature of the weighted Gini correlation's two covariances,
+and seeded Monte Carlo reference estimates whose standard errors come from
+replication spread rather than within-run asymptotics (heavy tails make
+the latter unreliable).
+
+Both covariances are -int dw(v) of a gap that is not negative (Hoeffding
+1940; Cuadras 2002).  The denominator Cov[X, w(S_X(X))] takes the margin's
+Lorenz gap L_X(v) = int_0^v (Q(1 - u) - E[X]) du, the numerator
+Cov[X, w(S_Y(Y))] the gap H(v) = int (S - S_X S_Y) dx at S_Y(y) = v, and
+0 <= H <= L_X, L_X being the Frechet upper bound of H.  So C_w is a
+dw-average of H/L_X, and every tolerance is relative to the integral it
+ends, whatever the scale of the covariances.  Every quadrature is
+tanh-sinh; any non-zero status raises QuadratureError.
 
 Everything here is trusted *before* any closed form and arbitrates them.
 """
@@ -29,11 +33,11 @@ from .distributions import (
 )
 from .errors import DegenerateSampleError, DomainError, MomentError, QuadratureError
 from .specfun import _Diagnosed, ln_beta
-from .weights import WeightFunction, reflect
+from .weights import WeightFunction
 
 
-# Tolerances of every covariance quadrature, read at each call
-QUAD_ABS_TOL = 1e-10
+# Relative tolerance of every quadrature, read at each call; hoeffding_cw
+# scales it by 1e-2 per level of nesting
 QUAD_REL_TOL = 1e-8
 
 
@@ -51,77 +55,89 @@ def _tail_power(tail_index: float) -> float:
     return max(1.0, 0.05 / (1.0 - 1.0 / tail_index))
 
 
-def _tanhsinh(f, lo, hi, args=(), **kw):
-    """tanhsinh of f(x, *args) over each [lo, hi]: (integral, error, status, nfev).
+def _tanhsinh(f, hi, args=(), *, rtol, atol=np.finfo(float).tiny):
+    """tanhsinh of f(x, *args) over each [0, hi], in x / hi: (integral, error, status, nfev).
 
-    From lo > 0 the variable is log(x / lo): over [a, b], a << b, a power
-    of x bends at x ~ a, too deep for the coarse levels, which then agree
-    on a wrong value, and a narrow interval's nodes round onto its ends,
-    where tanhsinh drops them.  From 0 it is x / hi.  Below the smallest
-    normal double, which holds under 1e-14 of these integrals (see
-    _tail_power), an interval starts at 0 instead or is left at 0.
+    An interval with hi = 0 is left at 0.  atol defaults to the smallest
+    normal double, so that an integral that underflows (a subnormal rise
+    of a table) ends.  The rule starts at level 3, not 2: its error
+    estimate compares the last levels, and three coarse levels that agree
+    by chance end it early.
     """
     from scipy.integrate import tanhsinh
 
-    tiny = np.finfo(float).tiny
-    lo = np.where(lo < tiny, 0.0, lo)
-    wide = hi > np.maximum(np.nextafter(lo, 2.0), tiny)
-    lo, hi, args = lo[wide], hi[wide], [a[wide] for a in args]
-    lo1 = np.where(lo > 0.0, lo, 1.0)
-
-    def g(u, la, lo, hi, *args):
-        # exp rounds up past hi at the top node at worst
-        x = np.where(lo > 0.0, np.minimum(np.exp(la + u), hi), hi * u)
-        return f(x, *args) * np.where(lo > 0.0, x, hi)
-
-    res = tanhsinh(g, np.zeros_like(lo), np.where(lo > 0.0, np.log1p((hi - lo) / lo1), 1.0),
-                   args=(np.log(lo1), lo, hi, *args), **kw)
+    wide = hi > 0.0
+    hi, args = hi[wide], [a[wide] for a in args]
+    res = tanhsinh(lambda u, hi, *args: f(hi * u, *args) * hi, np.zeros_like(hi),
+                   np.ones_like(hi), args=(hi, *args), minlevel=3, rtol=rtol, atol=atol)
     out = np.zeros((4, wide.size))
     out[:, wide] = res.integral, res.error, res.status, res.nfev
     return out
 
 
-def quad_cov_margin(margin, w: WeightFunction) -> float:
-    """Cov[X, w(1 - F_X(X))] by tail-variable tanh-sinh quadrature.
+def _against_dw(g, w: WeightFunction, **tol):
+    """int_0^1 g(v) dw(v) over the pieces of w's measure: (integral, error, status, nfev).
 
-    `margin` is a ParetoIIMargin, NormalMargin or StudentTMargin.  Requires
-    a finite mean.  The float returned also carries the quadrature's error
-    estimate (`error`) and its evaluations (`nfev`).
-
-    Integrates the one centred integrand Qbar(t) (w(t) - wbar) over the
-    tail variable t = 1 - F_X(x), with Qbar(t) = Q(1 - t) from the margin's
-    `tail_quantile` in t = s^k (see _tail_power).  Symmetric margins fold
-    the upper half onto the lower, Qbar(1 - t) = -Qbar(t), and integrate
-    Qbar(t) (w(t) + w*(t) - 1) over (0, 1/2], with w*(t) = 1 - w(1 - t)
-    evaluated as reflect(w) so no 1 - t rounds.  The knots of a table
-    weight are break points; the intervals between them go to one
-    vectorised tanhsinh call (see _tanhsinh).  The rule starts at level 3,
-    not 2: its error estimate compares the last levels, and three coarse
-    levels that agree by chance end it early (a table weight at Pareto
-    delta = 5.15 stopped after 67 points with an estimate of 4e-15 and an
-    error of 3e-11).
+    g(log_v, log_u, dw) returns g at v from log v and log u = log(1 - v),
+    each formed where it is accurate; dw is the density of the measure
+    there, for a cut-off.  I_v(a, b), and t^gamma as I_v(gamma, 1), run in
+    s = v^p with dw = c v^(a-p) (1 - v)^(b-1) ds, c = 1/(p B(a, b)):
+    p = gamma makes s = w(v) for t^gamma, p = min(a, 1) keeps the density
+    of I_v(a, b) bounded at 0 without putting its mass below the smallest
+    s.  For b < 1 the density is singular at v = 1, where v is too coarse
+    to follow it, so above v = 1/2 the integral runs as that of the
+    reflected weight I_u(b, a) in u = 1 - v (a flipped piece).  A table
+    spans v = s0 + r ds, dw = rise dr, r in [0, 1], across each knot
+    interval that rises.  Below s = 1/2, log s = log ds + log(r + s0/ds)
+    does not underflow however close to 0 a piece lies; above it, log s
+    comes from 1 - s = (1 - s0) - r ds, since a knot interval just below 1
+    can be narrower than the spacing of doubles there.
     """
-    wbar = w.mean_on_unit()
-    kinks = w.knots_t if w.kind == "table" else np.empty(0)
-    k = _tail_power(margin.tail_index)
-    if margin.symmetric:
-        end = 0.5
-        ws = reflect(w)
-        kinks = np.concatenate([kinks, 1.0 - kinks])
-
-        def f(s):
-            return margin.tail_quantile(s, k) * (w.at_power(s, k) + ws.at_power(s, k)
-                                                 - 1.0)
+    if w.kind == "table":
+        rise = np.diff(w.knots_w)
+        up = rise > 0.0
+        s0, ds, log_c = w.knots_t[:-1][up], np.diff(w.knots_t)[up], np.log(rise[up])
+        p = a = b = np.ones_like(s0)
+        flip = np.zeros(s0.shape, dtype=bool)
     else:
-        end = 1.0
+        a, b = (w.a, w.b) if w.kind == "beta_cdf" else (w.gamma, 1.0)
+        top, log_b = (0.5 if b < 1.0 else 1.0), ln_beta(a, b)  # v or u atop each piece
+        flip = np.arange(1 + (b < 1.0)) == 1
+        a, b = np.where(flip, b, a), np.where(flip, a, b)
+        p = np.minimum(a, 1.0) if w.kind == "beta_cdf" else a
+        s0, ds = np.zeros(flip.shape), top ** p
+        log_c = np.log(ds / p) - log_b if w.kind == "beta_cdf" else np.zeros(flip.shape)
 
-        def f(s):
-            return margin.tail_quantile(s, k) * (w.at_power(s, k) - wbar)
-    t_edges = np.unique(np.concatenate([[0.0, end], kinks[(kinks > 0.0) & (kinks < end)]]))
-    edges = t_edges ** (1.0 / k)
-    value, error, status, nfev = _tanhsinh(f, edges[:-1], edges[1:], minlevel=3,
-                                           atol=QUAD_ABS_TOL, rtol=QUAD_REL_TOL)
-    value, error, nfev = float(value.sum()), float(error.sum()), int(nfev.sum())
+    def integrand(r, s0, ds, log_c, p, a, b, flip):
+        ls = np.where(s0 + r * ds < 0.5, np.log(ds) + np.log(r + s0 / ds),
+                      np.log1p(np.maximum(r * ds - (1.0 - s0), -0.5)))
+        lx = np.minimum(ls, 0.0) / p                        # log v, or log u if flipped
+        ly = np.where(flip, np.log1p(-np.minimum(np.exp(lx), 0.5)),
+                      np.log(np.maximum(-np.expm1(lx), np.finfo(float).tiny)))
+        dw = np.exp(log_c + (a - p) * lx + (b - 1.0) * ly)
+        log_v, log_u = np.where(flip, ly, lx), np.where(flip, lx, ly)
+        return g(log_v, log_u, dw) * dw
+
+    return _tanhsinh(integrand, np.ones_like(s0), args=(s0, ds, log_c, p, a, b, flip), **tol)
+
+
+def quad_cov_margin(margin, w: WeightFunction) -> float:
+    """Cov[X, w(1 - F_X(X))] = -int_0^1 L(v) dw(v) by tanh-sinh quadrature.
+
+    `margin` is a ParetoIIMargin, NormalMargin or StudentTMargin with a
+    finite mean (else MomentError).  In v = 1 - F_X(x) the covariance is
+    int_0^1 (Q(1 - v) - E[X]) w(v) dv, and by parts -int L dw with the
+    margin's Lorenz gap L(v) = int_0^v (Q(1 - u) - E[X]) du, which is in
+    closed form (`lorenz_gap`), not negative, and 0 at v = 0 and 1.  With
+    no cancellation in the integrand the tolerance is QUAD_REL_TOL alone,
+    on each piece of w's measure (see _against_dw), whatever the scale of
+    the covariance.  The float returned also carries the quadrature's
+    error estimate (`error`) and its evaluations (`nfev`).
+    """
+    margin.mean()  # raises MomentError where the mean is infinite
+    value, error, status, nfev = _against_dw(
+        lambda log_v, log_u, dw: margin.lorenz_gap(log_v, log_u), w, rtol=QUAD_REL_TOL)
+    value, error, nfev = -float(value.sum()), float(error.sum()), int(nfev.sum())
     if np.any(status != 0):
         raise QuadratureError(
             f"tanh-sinh covariance quadrature did not converge (status "
@@ -147,15 +163,20 @@ def hoeffding_cw(f: BivariateFamily, w: WeightFunction) -> float:
 
     All three have S - S_X S_Y = S_X S_Y expm1(delta L), L = -log(p + q (1-p)),
     p = 1/(1+x), q = 1/(1+y) in standard units, and differ only in the tail
-    indices dX*, dY* of margins(f).  Hoeffding's identity (Hoeffding 1940;
-    Cuadras 2002) gives the numerator Cov[X, w(v)], v = S_Y(Y), as
-    -int w'(v) int (S - S_X S_Y) dx dv: the outer integral in s = v^p with
-    dw = c (1 - v)^(b-1) ds (for a table, across each knot interval), the
-    inner one in the tail variable S_X(x) = t^k (see _tail_power), split
-    at the ridge p = q where L bends once q < 1/e; L comes from log p and
-    log q.  Both are tanhsinh from level 3, with the tolerances scaled by
-    1e-2 per level of nesting.  The denominator is quad_cov_margin.  No
-    density expansion, 3F2 series or regression line enters.  The float
+    indices dX*, dY* of margins(f).  By Hoeffding's identity (Hoeffding 1940;
+    Cuadras 2002) C_w = int H dw / int L_X dw, H(v) = int (S - S_X S_Y) dx
+    at v = S_Y(y): a dw-average of H/L_X, as 0 <= H <= L_X.  The
+    denominator, quad_cov_margin of the X margin, comes first; the
+    numerator runs over the same measure (see _against_dw), and leaves H at
+    0 where dw L_X, the most it adds, is below QUAD_REL_TOL 1e-4 of the
+    denominator.  H runs in the tail variable S_X(x) = t^k (see
+    _tail_power), split at the ridge p = q where L bends once q < 1/e:
+    below it in t / ridge, above it in log(t / ridge), both formed from
+    log t, so a ridge below the smallest double loses nothing; L comes from
+    log p and log q.  The tolerances are relative, QUAD_REL_TOL scaled by
+    1e-2 per level of nesting; the outer one is also absolute, times the
+    denominator, since below the scale of the cut-off its integrand jumps.
+    No density expansion, 3F2 series or regression line enters.  The float
     returned carries `nfev`, the outer, inner and denominator evaluations,
     and `error`: the numerator's (outer plus largest inner) and the
     denominator's, propagated to the ratio.
@@ -163,60 +184,48 @@ def hoeffding_cw(f: BivariateFamily, w: WeightFunction) -> float:
     if not isinstance(f, PARETO_FAMILIES):
         raise DomainError(f"the Hoeffding oracle covers the Pareto families, not {f!r}")
     d, dxs, dys = f.delta, *(m.delta for m in margins(f))
-    t, v = w.knots_t, w.knots_w
-    if w.kind == "table" and v[-1] > v[0]:  # C_w is that of (w - w(0)) / (w(1) - w(0))
-        w = WeightFunction.table(t, (v - v[0]) / (v[-1] - v[0]))
-    cov_den = quad_cov_margin(ParetoIIMargin(0.0, 1.0, dxs), w)  # rejects dX* <= 1
+    mx = ParetoIIMargin(0.0, 1.0, dxs)
+    cov_den = quad_cov_margin(mx, w)  # rejects dX* <= 1
     if cov_den == 0.0:
         raise DegenerateSampleError("C_w undefined: constant weight")
-    if w.kind == "table":       # s = v = s0 + r ds, dw = rise dr, r in [0, 1]
-        rise = np.diff(w.knots_w)
-        up = rise > 0.0
-        p, b, s0, ds, scale = 1.0, 1.0, t[:-1][up], np.diff(t)[up], rise[up]
-    elif w.kind == "beta_cdf":  # I_v(a, b): c = 1/(a B(a, b))
-        p, b, s0, ds = w.a, w.b, np.zeros(1), np.ones(1)
-        scale = np.exp(np.full(1, -np.log(w.a) - ln_beta(w.a, w.b)))
-    else:                       # v^gamma = I_v(gamma, 1): c = 1
-        p, b, s0, ds, scale = w.gamma, 1.0, np.zeros(1), np.ones(1), np.ones(1)
     k = _tail_power(dxs)
     cx, px = k / dxs, k * (1.0 - 1.0 / dxs) - 1.0
-    tol = dict(minlevel=3, atol=QUAD_ABS_TOL * 1e-4, rtol=QUAD_REL_TOL * 1e-4)
     inner_fails, inner_error, inner_nfev = 0, 0.0, 0
 
-    def bracket(t, lq):
-        lp = cx * np.log(t)                                 # log p
+    def bracket(x, lq, lr, below):
+        # t = e^lr x below the ridge t = e^lr, x in [0, 1]; t = e^(lr + x) above it
+        lt = lr + np.where(below, np.log(x), x)             # log t
+        lp = cx * lt                                        # log p
         c = np.expm1(lp) * np.expm1(lq)                     # (1-p)(1-q)
         far = -np.logaddexp(lp, lq + np.log1p(-np.minimum(np.exp(lp), 0.5)))
         el = d * np.where(c < 0.5, -np.log1p(-np.minimum(c, 0.5)), far)
-        # S_X dx = cx t^px dt; S_Y expm1(el) = e^(dys lq + el) (1 - e^(-el)) <= 1
-        return cx * t ** px * np.exp(dys * lq + el) * -np.expm1(-el)
+        # S_X dx = cx t^px dt, dt = e^lr dx below and t dx above the ridge;
+        # S_Y expm1(el) = e^(dys lq + el) (1 - e^(-el)) <= 1
+        return (cx * np.exp(px * lt + np.where(below, lr, lt) + dys * lq + el)
+                * -np.expm1(-el))
 
-    def inner(r, s0, ds, scale):
+    def inner(log_v, log_u, dw):
         nonlocal inner_fails, inner_error, inner_nfev
-        ls = np.log(s0 + r * ds)
-        lq, lv = ls / (p * dys), ls / p                     # log q, log v
-        tail = -np.expm1(lv)                                # 1 - v
-        g = scale * np.where(tail > 0.0, tail, 1.0) ** (b - 1.0)
-        # 0 <= S - S_X S_Y <= min(S_X (1 - v), S_X, v) bounds the inner integral;
-        # it is left at 0 where the bound times g is below the tolerance on C_w
-        bound = np.minimum(tail, dxs * np.exp(lv * (1.0 - 1.0 / dxs))) / (dxs - 1.0)
-        live = g * bound > tol["atol"] * min(1.0, -cov_den)
-        lq = lq[live]
-        # once q < 1/e the bend of L at p = q is too deep in t for the coarse levels
-        ridge = np.where(lq < -1.0, np.exp(lq / cx), 1.0)
-        t0 = np.concatenate([np.zeros_like(ridge), ridge])
-        t1 = np.concatenate([ridge, np.ones_like(ridge)])
-        part, error, status, nfev = _tanhsinh(bracket, t0, t1, args=(np.tile(lq, 2),), **tol)
+        # 0 <= H <= L_X: dw L_X bounds what H adds to the numerator here
+        live = dw * mx.lorenz_gap(log_v, log_u) > QUAD_REL_TOL * 1e-4 * -cov_den
+        lq = log_v[live] / dys                              # log q
+        # once q < 1/e the bend of L at p = q is too deep in t for the coarse
+        # levels; the ridge is formed in logs, since it underflows for v
+        # far below the smallest double
+        lr = np.where(lq < -1.0, lq / cx, 0.0)
+        below = np.arange(2 * lq.size) < lq.size
+        part, error, status, nfev = _tanhsinh(
+            bracket, np.where(below, 1.0, -np.tile(lr, 2)),
+            args=(np.tile(lq, 2), np.tile(lr, 2), below), rtol=QUAD_REL_TOL * 1e-4)
         inner_fails += int(np.count_nonzero(status))
         inner_error = max(inner_error, float(error.max(initial=0.0)))
         inner_nfev += int(nfev.sum())
-        value = np.zeros(r.shape)
+        value = np.zeros(log_v.shape)
         value[live] = part.reshape(2, -1).sum(axis=0)
-        return value * g
+        return value
 
-    value, error, status, nfev = _tanhsinh(inner, np.zeros_like(s0), np.ones_like(s0),
-                                           args=(s0, ds, scale), minlevel=3,
-                                           atol=QUAD_ABS_TOL * 1e-2, rtol=QUAD_REL_TOL * 1e-2)
+    value, error, status, nfev = _against_dw(inner, w, rtol=QUAD_REL_TOL * 1e-2,
+                                             atol=QUAD_REL_TOL * 1e-2 * -cov_den)
     cov_num = -float(value.sum())
     error = float(error.sum()) + inner_error
     if np.any(status != 0) or inner_fails:

@@ -100,13 +100,16 @@ def _check_sampler_ddf():
 # ---------------------------------------------------------------------------
 
 def _check_routes_vs_hoeffding():
-    # the WIPM premium E[X] + C_w Cov[X, w(1-F_X)] / E[w], with the oracle's C_w
+    # the WIPM premium E[X] + C_w Cov[X, w(1-F_X)] / E[w], with the oracle's C_w;
+    # the table's covariances are ~1e-150, so this also holds the quadratures'
+    # tolerances to be relative
     f2 = BVP2(delta=2.1, delta_y=0.5254)
     worst = 0.0
     for f, w in ((BVP1(delta=5.87), WeightFunction.power(2.0)),
                  (f2, WeightFunction.power(1.0)),
                  (f2, WeightFunction.beta_cdf(2.0, 2.0)),
-                 (BVP3(delta=1.5, delta_x=1.5, delta_y=1.0), WeightFunction.power(1.0))):
+                 (BVP3(delta=1.5, delta_x=1.5, delta_y=1.0), WeightFunction.power(1.0)),
+                 (BVP1(delta=2.0), WeightFunction.table([0.0, 1e-300], [0.0, 1.0]))):
         cw = oracle.hoeffding_cw(f, w)
         diffs = [gini.closed_cw(f, w).value - cw]
         if not isinstance(f, BVP3):

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._csvrows import read_numeric_csv
 from .errors import DomainError
-from .specfun import ln_beta, reg_inc_beta
+from .specfun import reg_inc_beta
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,12 @@ class WeightFunction:
         if self.kind == "identity":
             object.__setattr__(self, "gamma", 1.0)
         elif self.kind == "power":
-            if self.gamma is None or not self.gamma > 0.0:
-                raise DomainError(f"power weight requires gamma > 0, got {self.gamma}")
+            if self.gamma is None or not 0.0 < self.gamma < np.inf:
+                raise DomainError(f"power weight requires finite gamma > 0, got {self.gamma}")
         elif self.kind == "beta_cdf":
-            if self.a is None or self.b is None or not (self.a > 0.0 and self.b > 0.0):
+            if not all(v is not None and 0.0 < v < np.inf for v in (self.a, self.b)):
                 raise DomainError(
-                    f"beta_cdf weight requires a, b > 0, got a={self.a}, b={self.b}"
+                    f"beta_cdf weight requires finite a, b > 0, got a={self.a}, b={self.b}"
                 )
         elif self.kind == "table":
             t = np.asarray(self.knots_t, dtype=float)
@@ -111,21 +111,6 @@ class WeightFunction:
         else:
             out = np.interp(arr, self.knots_t, self.knots_w)
         return float(out) if np.ndim(t) == 0 else np.asarray(out)
-
-    def at_power(self, s: np.ndarray, k: float) -> np.ndarray:
-        """w(s^k) for s in (0, 1], without the underflow of s^k.
-
-        Where s^k underflows, t^gamma and beta c.d.f.s with a small a are
-        still far from 0 (t^0.01 = 8e-4 at 1e-308); there w is its leading
-        term t^p / c, exact to relative O(t), formed from k log s.
-        """
-        t = s ** k
-        out, low = self(t), t < np.finfo(float).tiny
-        if self.kind in ("power", "beta_cdf") and low.any():
-            p, log_c = ((self.gamma, 0.0) if self.kind == "power"
-                        else (self.a, np.log(self.a) + ln_beta(self.a, self.b)))
-            out = np.where(low, np.exp(p * k * np.log(s) - log_c), out)
-        return out
 
     def mean_on_unit(self) -> float:
         """Integral of w over [0, 1].

@@ -182,6 +182,35 @@ def test_first_invalid_family_parameter_is_named(capsys, flags, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "bvp1", "--delta", "inf", "--method", "closed"],
+     "delta must be finite, got inf"),
+    (["--family", "bvp1", "--delta", "inf", "--method", "regression"],
+     "delta must be finite, got inf"),
+    (["--family", "normal", "--rho", "0.5", "--sigma-x", "inf", "--weight", "beta:2,2",
+      "--method", "regression"], "sigma_x must be finite, got inf"),
+    (["--family", "bvp1", "--delta", "3", "--weight", "power:inf", "--method", "closed"],
+     "power weight requires finite gamma > 0, got inf"),
+    (["--family", "bvp1", "--delta", "3", "--weight", "beta:inf,1", "--method", "closed"],
+     "beta_cdf weight requires finite a, b > 0, got a=inf, b=1.0"),
+])
+def test_non_finite_parameter_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "corr", *argv)
+    assert (code, out) == (2, "") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--family", "bvp1", "--delta", "3", "-n", "5", "--seed", "-1"],
+    ["corr", "--family", "bvp1", "--delta", "3", "-n", "200", "--method", "empirical",
+     "--seed", "-1"],
+    ["corr", "--family", "bvp1", "--delta", "3", "-n", "1000", "--method", "oracle",
+     "--replications", "10", "--seed", "-1"],
+])
+def test_negative_seed_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+
+
 def test_family_flags_are_the_families_fields():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction)).choices["sample"]

@@ -19,8 +19,10 @@ from ginicorr.distributions import (
     BVP3,
     EllipticalT,
     Normal,
+    NormalMargin,
     PairedSample,
     ParetoIIMargin,
+    StudentTMargin,
     bvp3_pdf_terms,
     chunk_seeds,
     joint_ddf,
@@ -35,7 +37,8 @@ from ginicorr.errors import (
     NoLinearRegressionError,
     UnsupportedPairError,
 )
-from ginicorr.gini import empirical_cw
+from ginicorr.gini import empirical_cw, empirical_pearson
+from ginicorr.oracle import mc_reference
 from ginicorr.weights import WeightFunction
 
 ALL_FAMILIES = [
@@ -341,6 +344,38 @@ class TestValidation:
     def test_sample_needs_n(self):
         with pytest.raises(DomainError):
             sample(BVP1(delta=2.0), 0, seed=1)
+
+    def test_negative_seed_is_refused_by_every_seeded_draw(self):
+        f, w = BVP1(delta=3.0), WeightFunction.power(1.0)
+        s = sample(f, 50, seed=1)
+        for draw in (lambda: sample(f, 50, seed=-1),
+                     lambda: empirical_cw(s, w, n_boot=10, seed=-3),
+                     lambda: empirical_pearson(s, n_boot=10, seed=-3),
+                     lambda: mc_reference(f, "cw", 1000, seed=-3, replications=10, weight=w)):
+            with pytest.raises(DomainError, match=r"^seed must be >= 0, got -[13]$"):
+                draw()
+        # without a bootstrap the seed is not used
+        assert empirical_cw(s, w, n_boot=0, seed=-3).value == empirical_cw(s, w, n_boot=0).value
+
+
+def _non_finite_cases(*instances):
+    return [pytest.param(obj, fl.name, bad, id=f"{type(obj).__name__}-{fl.name}-{bad}")
+            for obj in instances for fl in dataclasses.fields(obj)
+            for bad in (math.inf, -math.inf, math.nan)]
+
+
+@pytest.mark.parametrize("f, name, bad", _non_finite_cases(
+    Normal(rho=0.5), EllipticalT(sigma_xy=0.5, nu=3.0), BVP1(), BVP2(), BVP3()))
+def test_family_parameters_must_be_finite(f, name, bad):
+    with pytest.raises(DomainError, match=rf"^{name} must be "):
+        dataclasses.replace(f, **{name: bad})
+
+
+@pytest.mark.parametrize("m, name, bad", _non_finite_cases(
+    ParetoIIMargin(0.0, 1.0, 2.0), NormalMargin(0.0, 1.0), StudentTMargin(0.0, 1.0, 3.0)))
+def test_margin_parameters_must_be_finite(m, name, bad):
+    with pytest.raises(DomainError, match=rf"^{name} must be "):
+        dataclasses.replace(m, **{name: bad})
 
 
 class TestParetoConstruction:

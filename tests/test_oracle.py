@@ -24,7 +24,6 @@ from ginicorr.distributions import (
 from ginicorr.errors import DegenerateSampleError, DomainError, MomentError, QuadratureError
 from ginicorr.gini import closed_cw, cov_x_weighted, cw_via_regression, lambda_w_margin
 from ginicorr.oracle import (
-    QUAD_ABS_TOL,
     QUAD_REL_TOL,
     hoeffding_cw,
     mc_reference,
@@ -88,9 +87,12 @@ def _pareto_table_cov(delta, w):
     """Cov[X, w(1 - F)] of the unit Pareto II margin for a table weight, exactly.
 
     int_0^1 (t^(-p) - 1)(w(t) - wbar) dt = int t^(-p) w(t) dt - wbar/(1 - p)
-    with p = 1/delta, summed piece by piece of the linear interpolant.
+    with p = 1/delta, summed piece by piece of the linear interpolant.  The
+    two terms cancel down to the scale of the smallest positive knot, so
+    the working precision grows with its exponent.
     """
-    with mp.workdps(30):
+    low = min(float(t) for t in w.knots_t if t > 0.0)
+    with mp.workdps(30 + max(0, -math.floor(math.log10(low)))):
         p = 1 / mp.mpf(delta)
         ts = [mp.mpf(0), *(mp.mpf(float(t)) for t in w.knots_t), mp.mpf(1)]
         vs = [float(w.knots_w[0]), *(float(v) for v in w.knots_w), float(w.knots_w[-1])]
@@ -158,7 +160,7 @@ class TestTailQuadrature:
     """quad_cov_margin and lambda_w_margin against independent values to 1e-9."""
 
     @settings(max_examples=20, deadline=None)
-    @given(delta=st.floats(1.01, 10.0), w=_weights())
+    @given(delta=st.floats(1.001, 10.0), w=_weights())
     def test_pareto_sweep(self, delta, w):
         m = ParetoIIMargin(0.0, 1.0, delta)
         want = _pareto_cov_reference(delta, w)
@@ -206,12 +208,18 @@ class TestTailQuadrature:
                                             (1.33985, 1e-22), (1.77741, 1e-8),
                                             (2.0, 1e-6), (1.5, 1e-12), (1.01, 1e-300)])
     def test_table_knot_far_below_the_next(self, delta, knot):
-        # t^(-1/delta) bends at t ~ knot, far below the next knot: run in
-        # t from 0 to the knot, the coarse levels agreed on values up to
-        # 3e-6 off
+        # the integrand bends at v ~ knot, far below the next knot, where
+        # coarse levels can agree on a wrong value (they were up to 3e-6 off)
         w = WeightFunction.table([0.0, knot, 0.3, 1.0], [0.0, 0.2, 0.5, 1.0])
         got = quad_cov_margin(ParetoIIMargin(0.0, 1.0, delta), w)
-        assert got == pytest.approx(_pareto_table_cov(delta, w), rel=1e-9)
+        assert got == pytest.approx(_pareto_table_cov(delta, w), rel=1e-12)
+
+    def test_table_rise_far_below_any_absolute_tolerance(self):
+        # the covariance is ~1.7e-183: the integrand -L dw is not negative,
+        # so the relative tolerance alone resolves it
+        w = WeightFunction.table([0.0, 6.1e-187], [0.0, 1.0])
+        got = quad_cov_margin(ParetoIIMargin(0.0, 1.0, 50.0), w)
+        assert got == pytest.approx(_pareto_table_cov(50.0, w), rel=1e-12, abs=0.0)
 
     @pytest.mark.filterwarnings("error")
     def test_knots_one_ulp_apart(self):
@@ -240,10 +248,9 @@ class TestTailQuadrature:
 
         import ginicorr.oracle
 
-        # three levels leave this integrand's error estimate near 2e-9
+        # three levels leave this integrand's error estimate near 3e-12, 1e-11 of it
         stalled = functools.partial(scipy.integrate.tanhsinh, maxlevel=2)
         monkeypatch.setattr(scipy.integrate, "tanhsinh", stalled)
-        monkeypatch.setattr(ginicorr.oracle, "QUAD_ABS_TOL", 1e-14)
         monkeypatch.setattr(ginicorr.oracle, "QUAD_REL_TOL", 1e-14)
         with pytest.raises(QuadratureError) as info:
             quad_cov_margin(ParetoIIMargin(0.0, 1.0, 1.5), WeightFunction.beta_cdf(3.0, 0.5))
@@ -304,7 +311,6 @@ class TestBvp3Quadrature:
         monkeypatch.setattr(ginicorr.oracle, "quad_cov_margin", lambda *args: -1.0)
         stalled = functools.partial(scipy.integrate.tanhsinh, maxlevel=2)
         monkeypatch.setattr(scipy.integrate, "tanhsinh", stalled)
-        monkeypatch.setattr(ginicorr.oracle, "QUAD_ABS_TOL", 1e-14)
         monkeypatch.setattr(ginicorr.oracle, "QUAD_REL_TOL", 1e-14)
         with pytest.raises(QuadratureError, match="Hoeffding") as info:
             hoeffding_cw(BVP3(delta=1.0, delta_x=0.02, delta_y=0.01),
@@ -344,12 +350,7 @@ def _pareto_families(draw):
 
 @st.composite
 def _any_weights(draw):
-    """Any weight kind; a table rises by at least 0.01, with knots 0 or >= 1e-6.
-
-    The quadrature tolerances are absolute, so a weight whose covariances
-    are far below them (all of its rise below t ~ 1e-14, or a rise of
-    1e-300) is outside what they resolve to 1e-9.
-    """
+    """Any weight kind; a table rises by at least 1e-6, with knots 0 or >= 1e-300."""
     kind = draw(st.sampled_from(["identity", "power", "beta_cdf", "table"]))
     if kind == "identity":
         return WeightFunction.identity()
@@ -357,10 +358,10 @@ def _any_weights(draw):
         return WeightFunction.power(draw(st.floats(0.01, 10.0)))
     if kind == "beta_cdf":
         return WeightFunction.beta_cdf(draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)))
-    knot = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    knot = st.one_of(st.just(0.0), st.floats(1e-300, 1.0))
     ts = sorted(set(draw(st.lists(knot, min_size=2, max_size=5))))
     vs = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=len(ts), max_size=len(ts))))
-    assume(len(ts) >= 2 and vs[-1] - vs[0] >= 0.01)
+    assume(len(ts) >= 2 and vs[-1] - vs[0] >= 1e-6)
     return WeightFunction.table(ts, vs)
 
 
@@ -426,13 +427,21 @@ class TestHoeffdingCw:
             assert hoeffding_cw(f, WeightFunction.beta_cdf(a, 1.0)) == pytest.approx(
                 hoeffding_cw(f, WeightFunction.power(a)), abs=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4 'Scale': the quadrature "
-                       "tolerances are absolute, and this table weight's covariances "
-                       "lie far below them (reads 0.50000004)")
     def test_table_rise_far_below_the_absolute_tolerance(self):
-        # C_w of BVP1(2) is exactly 1/delta = 0.5 for every weight
+        # C_w of BVP1(2) is exactly 1/delta = 0.5 for every weight; its
+        # covariances are ~1e-93, which an absolute tolerance would not resolve
         w = WeightFunction.table([0.0, 6.1e-187], [0.0, 1.0])
         assert hoeffding_cw(BVP1(delta=2.0), w) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t1", [1e-14, 1e-20, 1e-100, 6.1e-187, 1e-300])
+    def test_table_rise_at_any_scale(self, t1):
+        # the tolerances are relative, so a weight that rises from 0 to 1 over
+        # [0, t1] is resolved as finely however small its covariances are
+        f, w = BVP2(delta=2.1, delta_y=0.5254), WeightFunction.table([0.0, t1], [0.0, 1.0])
+        # C_w is ~1e-28 at t1 = 1e-300: approx's default abs would pass anything
+        assert hoeffding_cw(f, w) == pytest.approx(cw_via_regression(f, w).value, rel=1e-9,
+                                                   abs=0.0)
 
     def test_typed_errors(self):
         with pytest.raises(DomainError, match="Pareto"):
@@ -510,7 +519,7 @@ class TestTailIndexNearOne:
 
 class TestQuadratureTolerances:
     def test_defaults(self):
-        assert QUAD_ABS_TOL == 1e-10 and QUAD_REL_TOL == 1e-8
+        assert QUAD_REL_TOL == 1e-8
 
 
 class TestMcReference:

@@ -1,5 +1,7 @@
 """Weight-function class tests: admissibility, evaluation, reflection."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,15 @@ class TestAdmissibility:
     def test_bad_beta(self):
         with pytest.raises(DomainError):
             WeightFunction.beta_cdf(1.0, -2.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("make", [lambda v: WeightFunction.power(v),
+                                      lambda v: WeightFunction.beta_cdf(v, 1.0),
+                                      lambda v: WeightFunction.beta_cdf(1.0, v)],
+                             ids=["power-gamma", "beta-a", "beta-b"])
+    def test_parameters_must_be_finite(self, make, bad):
+        with pytest.raises(DomainError, match="requires finite"):
+            make(bad)
 
     def test_table_must_increase_in_t(self):
         with pytest.raises(DomainError):
