@@ -606,8 +606,9 @@ class TestParserHygiene:
 
 
 # Each costs more to import than the package.  Only the normal and Student t
-# margins, beta weights and the quadrature need them, and they import them
-# on first use.
+# margins and beta weights need scipy.stats or scipy.special, and they import
+# them on first use; the quadrature is numpy alone, so nothing loads
+# scipy.integrate.
 _LAZY_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.special")
 
 
@@ -622,6 +623,18 @@ def _scipy_loaded_after(code, cwd=None):
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     assert _scipy_loaded_after("import ginicorr.cli") == "[]"
+
+
+def test_verify_all_loads_no_scipy_integrate():
+    code = textwrap.dedent("""
+        import contextlib, io
+        from ginicorr.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["verify", "all"])
+        print(code)
+    """)
+    status, loaded = _scipy_loaded_after(code).splitlines()
+    assert status == "0" and "scipy.integrate" not in loaded
 
 
 def test_readme_commands_but_verify_load_no_scipy(tmp_path):

@@ -25,6 +25,7 @@ from ginicorr.errors import DegenerateSampleError, DomainError, MomentError, Qua
 from ginicorr.gini import closed_cw, cov_x_weighted, cw_via_regression, lambda_w_margin
 from ginicorr.oracle import (
     QUAD_REL_TOL,
+    _tanhsinh,
     hoeffding_cw,
     mc_reference,
     quad2_bvp3_moment,
@@ -242,15 +243,10 @@ class TestTailQuadrature:
             _pareto_table_cov(2.0, step), rel=1e-12)
 
     def test_stalled_integral_raises_with_its_estimate(self, monkeypatch):
-        import functools
-
-        import scipy.integrate
-
         import ginicorr.oracle
 
         # three levels leave this integrand's error estimate near 3e-12, 1e-11 of it
-        stalled = functools.partial(scipy.integrate.tanhsinh, maxlevel=2)
-        monkeypatch.setattr(scipy.integrate, "tanhsinh", stalled)
+        monkeypatch.setattr(ginicorr.oracle, "_MAX_LEVEL", 2)
         monkeypatch.setattr(ginicorr.oracle, "QUAD_REL_TOL", 1e-14)
         with pytest.raises(QuadratureError) as info:
             quad_cov_margin(ParetoIIMargin(0.0, 1.0, 1.5), WeightFunction.beta_cdf(3.0, 0.5))
@@ -301,16 +297,11 @@ class TestBvp3Quadrature:
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_stalled_integral_raises_with_its_estimate(self, monkeypatch):
-        import functools
-
-        import scipy.integrate
-
         import ginicorr.oracle
 
         # the 2-d integral must raise, not the denominator's 1-d one
         monkeypatch.setattr(ginicorr.oracle, "quad_cov_margin", lambda *args: -1.0)
-        stalled = functools.partial(scipy.integrate.tanhsinh, maxlevel=2)
-        monkeypatch.setattr(scipy.integrate, "tanhsinh", stalled)
+        monkeypatch.setattr(ginicorr.oracle, "_MAX_LEVEL", 2)
         monkeypatch.setattr(ginicorr.oracle, "QUAD_REL_TOL", 1e-14)
         with pytest.raises(QuadratureError, match="Hoeffding") as info:
             hoeffding_cw(BVP3(delta=1.0, delta_x=0.02, delta_y=0.01),
@@ -337,14 +328,14 @@ class TestBvp3Quadrature:
 
 @st.composite
 def _pareto_families(draw):
-    """BVP1, BVP2 or BVP3 with both tail indices in [1.01, 15]."""
+    """BVP1, BVP2 or BVP3 with both tail indices in [1.001, 15]."""
     kind = draw(st.sampled_from(["bvp1", "bvp2", "bvp3"]))
     if kind == "bvp1":
-        return BVP1(delta=draw(st.floats(1.01, 10.0)))
+        return BVP1(delta=draw(st.floats(1.001, 10.0)))
     if kind == "bvp2":
-        return BVP2(delta=draw(st.floats(1.01, 10.0)), delta_y=draw(st.floats(0.01, 5.0)))
+        return BVP2(delta=draw(st.floats(1.001, 10.0)), delta_y=draw(st.floats(0.01, 5.0)))
     delta = draw(st.floats(0.05, 5.0))
-    return BVP3(delta=delta, delta_x=draw(st.floats(max(0.01, 1.01 - delta), 10.0)),
+    return BVP3(delta=delta, delta_x=draw(st.floats(max(0.01, 1.001 - delta), 10.0)),
                 delta_y=draw(st.floats(0.01, 5.0)))
 
 
@@ -500,7 +491,7 @@ class TestDiagnostics:
 
 
 class TestTailIndexNearOne:
-    """BVP1 below tail index 1.01, where the hypothesis sweeps stop."""
+    """BVP1 at fixed tail indices down to 1.001, where the hypothesis sweeps stop."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("w", [WeightFunction.power(1.0), WeightFunction.power(0.05),
@@ -520,6 +511,69 @@ class TestTailIndexNearOne:
 class TestQuadratureTolerances:
     def test_defaults(self):
         assert QUAD_REL_TOL == 1e-8
+
+
+class TestTanhSinhKernel:
+    """oracle._tanhsinh against scipy.integrate.tanhsinh, the rule it reproduces."""
+
+    CASES = {
+        "smooth": (lambda x, a, b: np.exp(-a * x) * np.cos(b * x), [1.0, 2.0, 0.5, 3.0],
+                   ([1.0, 3.0, 0.1, 10.0], [0.0, 5.0, 2.0, 30.0])),
+        "endpoint_singularity": (lambda x, c: c * x ** -0.95, [1.0, 0.5, 2.0],
+                                 ([1.0, 2.0, 1e-3],)),
+        # inf (k = 1) or nan (k = 0) within 1e-200 of 0 and 1e-12 of 1
+        "not_finite_at_the_ends": (
+            lambda x, k: np.where((x < 1e-200) | (x > 1.0 - 1e-12),
+                                  np.where(k > 0.0, np.inf, np.nan), np.sqrt(x)),
+            [1.0, 1.0, 0.5], ([1.0, 0.0, 1.0],)),
+        "tiny_integral": (lambda x, c: c * x * x, [1.0, 1.0], ([3e-300, 1e-305],)),
+        "hi_zero": (lambda x, c: c * np.sin(x), [0.0, 1.0, 0.0, 2.0], ([1.0, 2.0, 3.0, 4.0],)),
+    }
+
+    @staticmethod
+    def _scipy(f, hi, args, rtol, **kw):
+        from scipy.integrate import tanhsinh
+
+        wide = hi > 0.0
+        hi, args = hi[wide], [a[wide] for a in args]
+        res = tanhsinh(lambda u, hi, *args: f(hi * u, *args) * hi, np.zeros_like(hi),
+                       np.ones_like(hi), args=(hi, *args), minlevel=3, rtol=rtol,
+                       atol=np.finfo(float).tiny, **kw)
+        out = np.zeros((4, wide.size))
+        out[:, wide] = res.integral, res.error, res.status, res.nfev
+        return out
+
+    def _check(self, case, rtol, **kw):
+        f, hi, args = self.CASES[case]
+        hi, args = np.array(hi), [np.array(a) for a in args]
+        got = _tanhsinh(f, hi, args, rtol=rtol)
+        want = self._scipy(f, hi, args, rtol, **kw)
+        np.testing.assert_array_equal(got[:3], want[:3])  # bit for bit, nan = nan
+        # scipy also evaluates each interval's midpoint once, to learn the shape of f
+        np.testing.assert_array_equal(got[3], want[3] - (hi > 0.0))
+        return got
+
+    @pytest.mark.parametrize("rtol", [1e-8, 1e-12, 1e-14])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_scipy_bit_for_bit(self, case, rtol):
+        self._check(case, rtol)
+
+    def test_nan_at_the_midpoint_ends_the_interval(self):
+        # scipy evaluates there first, and stops at once on a NaN
+        def f(x, c):
+            return np.where(x == 0.5 * c, np.nan, x)
+
+        hi, args = np.ones(2), [np.array([1.0, 3.0])]
+        got = _tanhsinh(f, hi, args, rtol=1e-8)
+        np.testing.assert_array_equal(got[:3], self._scipy(f, hi, args, 1e-8)[:3])
+        assert got[2].tolist() == [-3.0, 0.0]
+
+    def test_stalled_at_level_2(self, monkeypatch):
+        import ginicorr.oracle
+
+        monkeypatch.setattr(ginicorr.oracle, "_MAX_LEVEL", 2)
+        got = self._check("endpoint_singularity", 1e-14, maxlevel=2)
+        assert np.all(got[2] == -2)
 
 
 class TestMcReference:
