@@ -23,6 +23,17 @@ from .errors import ConvergenceError, DomainError, SeriesCapError
 SERIES_REL_TOL = 1e-12
 SERIES_TERM_CAP = 200_000
 
+# Terms of a unit-argument series are formed in blocks of k: the first
+# block holds _BLOCK_FIRST terms and each later one twice as many, up to
+# _BLOCK_MAX.  The BVP3 closed forms' sums stop within 500 terms; a
+# margin near 0.05 takes ~10^4.
+_BLOCK_FIRST = 64
+_BLOCK_MAX = 4096
+# The stop rule holds the tail's residual estimate this many times below
+# SERIES_REL_TOL: the BVP3 closed form subtracts its series sums, which
+# multiplies their relative error.
+_TAIL_MARGIN = 100.0
+
 _LN_BETA_STIRLING_CUT = 10.0
 
 
@@ -46,8 +57,8 @@ def ln_beta(a: float, b: float) -> float:
     through a Stirling expansion; the naive triple-lgamma form loses ~1e-10
     relative accuracy near a = 1e6 through cancellation.
     """
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"ln_beta requires a, b > 0, got a={a}, b={b}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError(f"ln_beta requires finite a, b > 0, got a={a}, b={b}")
     p, q = (a, b) if a <= b else (b, a)
     if q < _LN_BETA_STIRLING_CUT:
         return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
@@ -70,8 +81,8 @@ def reg_inc_beta(t, a: float, b: float):
     """
     from scipy import special
 
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError(f"reg_inc_beta requires finite a, b > 0, got a={a}, b={b}")
     t_arr = np.asarray(t, dtype=float)
     if t_arr.size and (not np.all(np.isfinite(t_arr))
                        or t_arr.min() < 0.0 or t_arr.max() > 1.0):
@@ -84,10 +95,10 @@ def reg_inc_beta(t, a: float, b: float):
 class HypergeometricSpec:
     """Parameters of a (q+1)F(q) generalized hypergeometric series.
 
-    All upper and lower parameters must be strictly positive (the regime
-    every closed form here lives in), and the argument must be 1, the only
-    one any closed form sums at; there the series converges iff the margin
-    h > 0.
+    All upper and lower parameters must be finite and strictly positive
+    (the regime every closed form here lives in), and the argument must be
+    1, the only one any closed form sums at; there the series converges iff
+    the margin h > 0.
     """
 
     upper: tuple
@@ -102,8 +113,8 @@ class HypergeometricSpec:
                 f"expected q+1 upper and q lower parameters, got "
                 f"{len(self.upper)} upper / {len(self.lower)} lower"
             )
-        if any(a <= 0.0 for a in self.upper) or any(b <= 0.0 for b in self.lower):
-            raise DomainError("all hypergeometric parameters must be > 0")
+        if not all(0.0 < p < math.inf for p in self.upper + self.lower):
+            raise DomainError("all hypergeometric parameters must be finite and > 0")
         if not self.argument == 1.0:
             raise DomainError(f"argument must be 1, got {self.argument}")
 
@@ -111,16 +122,6 @@ class HypergeometricSpec:
     def h(self) -> float:
         """Convergence margin sum(lower) - sum(upper)."""
         return sum(self.lower) - sum(self.upper)
-
-
-def _term_log_ratio(upper, lower, k: int) -> float:
-    """ln of t_{k+1}/t_k at z = 1, accumulated in log space."""
-    out = -math.log1p(k)
-    for a in upper:
-        out += math.log(a + k)
-    for b in lower:
-        out -= math.log(b + k)
-    return out
 
 
 class _Diagnosed(float):
@@ -142,52 +143,102 @@ def _sum_unit_argument(spec: HypergeometricSpec, representation: str) -> _Diagno
     """Positive-term series at z = 1 with an algebraic tail correction.
 
     Terms decay like k^(-1-h); a bare term-vs-sum stop rule leaves a tail of
-    order t_k * k / h.  We instead add the Euler-Maclaurin tail estimate
-        T_k = t_k * (k/h + 1/2 - e1 / (h (1+h))),
-    e1 = (h + sum a^2 - sum b^2) / 2, whose residual shrinks like
-    T_k / k^2, and stop once that residual estimate clears SERIES_REL_TOL.
-    The sum carries `representation` ("direct" or "thomae"), its margin h,
-    the terms summed and the tail estimate's share of the sum.
+    order t_k * k / h.  The terms from t_k on sum to
+        R_k = t_k * (k/h + g0 + g1/k + g2/k^2 + ...),
+    whose coefficients solve R_k = t_k + R_(k+1) order by order, given
+        log(t_(k+1)/t_k) = sum_m (-1)^(m+1) p_m / (m k^m),
+        p_m = sum a^m - sum b^m - 1.
+    We add the tail t_k * (k/h + g0 + g1/k) and stop once its residual
+    estimate t_k * (|g2| + |g1|/k) / k^2 is _TAIL_MARGIN times below
+    SERIES_REL_TOL of the sum.  A term that underflowed to 0 while
+    falling also ends the sum, and a sum that overflows raises
+    ConvergenceError.  Terms are formed in blocks of k, log t_k carried
+    over from block to block, and the first index of a block that passes
+    the stop rule ends the sum.  The sum carries `representation`
+    ("direct" or "thomae"), its margin h, the terms summed and the tail's
+    share of the sum.
     """
-    upper, lower, h = spec.upper, spec.lower, spec.h
-    e1 = (h + sum(a * a for a in upper) - sum(b * b for b in lower)) / 2.0
-    tail_const = 0.5 - e1 / (h * (1.0 + h))
-    s = 0.0
-    comp = 0.0
-    log_t = 0.0
-    t = 1.0
-    prev = math.inf
-    for k in range(SERIES_TERM_CAP):
-        y = t - comp
-        tt = s + y
-        comp = (tt - s) - y
-        s = tt
-        log_t += _term_log_ratio(upper, lower, k)
-        prev = t
-        t = math.exp(log_t)
-        kk = k + 1
-        if kk > 40 and t < prev:
-            mult = kk / h + tail_const
-            if mult > 0.0:
-                tail = t * mult
-                # residual of (sum + tail) decays ~ tail / k^2; 5x safety margin
-                # (measured residual is 50-3000x below tail/k^2 for h in [0.5, 5])
-                if tail * 5.0 <= SERIES_REL_TOL * abs(s) * kk * kk:
-                    return _Diagnosed(s + tail, representation=representation, margin=h,
-                                      terms=kk, tail_share=tail / (s + tail))
-    raise SeriesCapError(
-        f"series cap {SERIES_TERM_CAP} reached at z=1 in the {representation} "
-        f"representation (margin {h:.6g}); partial sum {s!r}",
-        partial_sum=s, last_term=t, terms=SERIES_TERM_CAP,
-    )
+    h, cap, tol = spec.h, SERIES_TERM_CAP, SERIES_REL_TOL
+    # log(t_(k+1)/t_k) = -log(1+k) + sum log(a+k) - sum log(b+k), one row per
+    # parameter
+    params = np.array([1.0, *spec.upper, *spec.lower])
+    signs = np.array([-1.0] + [1.0] * len(spec.upper) + [-1.0] * len(spec.lower))
+    # Overflow is ignored here and caught as a non-finite coefficient or sum:
+    # parameters beyond ~1e77 overflow p4, terms beyond ~1e308 the sum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p2, p3, p4 = (signs @ params ** m for m in (2, 3, 4))
+        q = 1.0 + h
+        g0 = (q * q - 2.0 * q - p2) / (2.0 * h * q)
+        g1 = (3.0 * p2 * p2 + 4.0 * q * p3 + q * q * q * q) / (12.0 * h * q * (q + 1.0))
+        g2 = (-3.0 * p2 * p2 * p2 + 3.0 * (q + 2.0) * p2 * p2
+              + p2 * q * q * q * (q + 2.0) - 4.0 * (2.0 * q + 1.0) * p2 * p3
+              + 4.0 * q * (q + 2.0) * p3 - 6.0 * q * (q + 1.0) * p4
+              + q * q * q * q * (q + 2.0)) / (24.0 * h * q * (q + 1.0) * (q + 2.0))
+        # without finite coefficients no tail estimate holds: only a term
+        # that underflowed to 0 ends the sum
+        asymptotic = bool(np.isfinite(g0 + g1 + g2))
+        if not asymptotic:
+            g0 = g1 = g2 = 0.0
+        params, signs = params[:, None], signs[:, None]
+        summed = []
+        s = 0.0       # sum of the earlier blocks' terms, for the stop test only
+        log_t = 0.0   # log of the next block's first term; t_0 = 1
+        start, size = 0, _BLOCK_FIRST
+        while start < cap:
+            k = np.arange(start, min(start + size, cap), dtype=float)
+            logs = np.log(params + k)
+            logs *= signs
+            ratio = logs.sum(axis=0)
+            # log t_k for every k of the block and the next block's first
+            log_ts = np.empty(k.size + 1)
+            log_ts[0], log_ts[1:] = log_t, ratio
+            np.cumsum(log_ts, out=log_ts)
+            terms = np.exp(log_ts)
+            # stop rule after kk = k + 1 terms, t_0 .. t_k, with next term t_(k+1)
+            kk = k + 1.0
+            sums = np.cumsum(terms[:-1])
+            sums += s
+            if not np.isfinite(sums[-1]):
+                break
+            nxt = terms[1:]
+            mult = kk / h + g0 + g1 / kk
+            ends = nxt == 0.0
+            if asymptotic:
+                resid = nxt * (abs(g2) + abs(g1) / kk) / (kk * kk)
+                ends |= (mult > 0.0) & (resid * _TAIL_MARGIN <= tol * sums)
+            stop = (kk > 40.0) & (ratio < 0.0) & ends
+            j = int(stop.argmax())
+            if stop[j]:
+                summed += terms[:j + 1].tolist()
+                tail_j = float(nxt[j] * mult[j])
+                total = math.fsum(summed) + tail_j
+                if not math.isfinite(total):
+                    break
+                return _Diagnosed(total, representation=representation, margin=h,
+                                  terms=start + j + 1, tail_share=tail_j / total)
+            summed += terms[:-1].tolist()
+            s, log_t = sums[-1], log_ts[-1]
+            start += k.size
+            size = min(2 * size, _BLOCK_MAX)
+        else:
+            partial = math.fsum(summed)
+            raise SeriesCapError(
+                f"series cap {cap} reached at z=1 in the {representation} "
+                f"representation (margin {h:.6g}); partial sum {partial!r}",
+                partial_sum=partial, last_term=float(np.exp(log_t)), terms=cap,
+            )
+    raise ConvergenceError(
+        f"series sum overflows double precision at z=1 in the {representation} "
+        f"representation (margin {h:.6g})")
 
 
 def hyp_pfq(spec: HypergeometricSpec) -> float:
     """Sum of the generalized hypergeometric series for `spec`.
 
-    Deterministic; raises ConvergenceError when h <= 0 and SeriesCapError
-    (carrying the partial sum and last term of the series summed, and
-    naming its representation and margin) when the term cap is exhausted.
+    Deterministic; raises ConvergenceError when h <= 0 or the sum exceeds
+    double precision, and SeriesCapError (carrying the partial sum and last
+    term of the series summed, and naming its representation and margin)
+    when the term cap is exhausted.
     The float returned also carries `representation`, `margin`, `terms` and
     `tail_share`, the Euler-Maclaurin tail estimate's share of the sum.
 

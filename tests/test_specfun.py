@@ -10,7 +10,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sc
 
@@ -49,6 +49,40 @@ def direct_series(upper, lower, z, n_terms=2_000_000):
     return s
 
 
+def _mp_unit_3f2(upper, lower):
+    """3F2(upper; lower; 1) in mpmath.  mpmath.hyp3f2 1.3.0 goes wrong past
+    margin ~16, so past margin 8 the series is summed by mpmath.nsum."""
+    if sum(lower) - sum(upper) <= 8.0:
+        return mp.hyp3f2(*upper, *lower, 1)
+    (a, b, c), (d, e) = upper, lower
+    return mp.nsum(lambda j: mp.rf(a, j) * mp.rf(b, j) * mp.rf(c, j)
+                   / (mp.rf(d, j) * mp.rf(e, j) * mp.factorial(j)), [0, mp.inf])
+
+
+def mp_unit_hyp(upper, lower):
+    """(q+1)F(q)(upper; lower; 1) to 20 digits, for q = 1 or 2.
+
+    mpmath's own z = 1 summation of a 3F2 fails to converge at margins near
+    0.05, so a 3F2 with an upper parameter a, h < a < min(lower), is first
+    taken through Thomae's transformation (DLMF 16.4.11) on the largest such
+    a, which makes its margin a.
+    """
+    with mp.workdps(20):
+        upper, lower = [mp.mpf(a) for a in upper], [mp.mpf(b) for b in lower]
+        if len(upper) == 2:
+            return mp.hyp2f1(*upper, *lower, 1)
+        h = sum(lower) - sum(upper)
+        pivots = [a for a in upper if h < a < min(lower)]
+        if not pivots:
+            return _mp_unit_3f2(upper, lower)
+        a = max(pivots)
+        upper.remove(a)
+        (b, c), (d, e) = upper, lower
+        return (mp.gamma(d) * mp.gamma(e) * mp.gamma(h)
+                / (mp.gamma(a) * mp.gamma(h + b) * mp.gamma(h + c))
+                * _mp_unit_3f2((d - a, e - a, h), (h + b, h + c)))
+
+
 class TestLnBeta:
     def test_b11_is_zero(self):
         assert ln_beta(1.0, 1.0) == 0.0
@@ -83,6 +117,11 @@ class TestLnBeta:
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 2.0), (1.0, 0.0)])
     def test_domain(self, a, b):
         with pytest.raises(DomainError):
+            ln_beta(a, b)
+
+    @pytest.mark.parametrize("a,b", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+    def test_non_finite_rejected(self, a, b):
+        with pytest.raises(DomainError, match="finite"):
             ln_beta(a, b)
 
 
@@ -128,6 +167,11 @@ class TestRegIncBeta:
             reg_inc_beta(-0.1, 2.0, 2.0)
         with pytest.raises(DomainError):
             reg_inc_beta(0.5, 0.0, 2.0)
+
+    @pytest.mark.parametrize("a,b", [(math.inf, 1.0), (2.0, math.inf), (math.nan, 1.0)])
+    def test_non_finite_rejected(self, a, b):
+        with pytest.raises(DomainError, match="finite"):
+            reg_inc_beta(0.5, a, b)
 
 
 class TestHypPfq:
@@ -178,13 +222,30 @@ class TestHypPfq:
             hyp_pfq(HypergeometricSpec((2.0, 2.0), (3.5,), 1.0))  # h = -0.5
 
     def test_cap_error_carries_diagnostics(self, monkeypatch):
-        spec = HypergeometricSpec((2.0, 1.0), (4.5,), 1.0)
+        # 2F1(1/2, 1/2; 3/2; 1) = pi/2 needs ~2600 terms
+        spec = HypergeometricSpec((0.5, 0.5), (1.5,), 1.0)
         monkeypatch.setattr(specfun, "SERIES_TERM_CAP", 50)
         with pytest.raises(SeriesCapError) as err:
             hyp_pfq(spec)
         assert err.value.terms == 50
-        assert 0.0 < err.value.partial_sum < 7.0 / 3.0
+        assert 0.0 < err.value.partial_sum < math.pi / 2.0
         assert err.value.last_term > 0.0
+
+    @pytest.mark.parametrize("cap", [100, 1000, 2000])
+    def test_cap_inside_a_later_block_sums_exactly_cap_terms(self, monkeypatch, cap):
+        # terms are formed in blocks of 64, 128, 256, ...; a cap inside a
+        # block still stops the sum after exactly `cap` terms
+        spec = HypergeometricSpec((0.5, 0.5), (1.5,), 1.0)
+        monkeypatch.setattr(specfun, "SERIES_TERM_CAP", cap)
+        with pytest.raises(SeriesCapError) as err:
+            hyp_pfq(spec)
+        with mp.workdps(30):
+            terms = [mp.rf(0.5, j) ** 2 / (mp.rf(1.5, j) * mp.factorial(j))
+                     for j in range(cap + 1)]
+            partial, last = mp.fsum(terms[:cap]), terms[cap]
+        assert err.value.terms == cap
+        assert err.value.partial_sum == pytest.approx(float(partial), rel=1e-14)
+        assert err.value.last_term == pytest.approx(float(last), rel=1e-11)
 
     def test_thomae_cap_error_names_representation(self, monkeypatch):
         # h = 0.5; the pivot a = 1.5 < min(3, 2) makes the summed margin 1.5
@@ -196,14 +257,14 @@ class TestHypPfq:
         assert err.value.terms == 50
 
     def test_rel_tol_is_read_at_each_call(self, monkeypatch):
-        # 2F1(2, 1; 4.5; 1) = 7/3 by Gauss's sum; a looser stop rule sums fewer
-        # terms and stays within its own tolerance
-        spec = HypergeometricSpec((2.0, 1.0), (4.5,), 1.0)
+        # 2F1(1/2, 1/2; 3/2; 1) = pi/2 by Gauss's sum; a looser stop rule sums
+        # fewer terms and stays within its own tolerance
+        spec = HypergeometricSpec((0.5, 0.5), (1.5,), 1.0)
         tight = hyp_pfq(spec)
         monkeypatch.setattr(specfun, "SERIES_REL_TOL", 1e-6)
         loose = hyp_pfq(spec)
         assert loose.terms < tight.terms
-        assert loose == pytest.approx(7.0 / 3.0, rel=1e-6)
+        assert loose == pytest.approx(math.pi / 2.0, rel=1e-6)
 
     def test_largest_margin_representation(self):
         # direct margin 4.5 beats every legal pivot: summed as written
@@ -245,11 +306,58 @@ class TestHypPfq:
         want = float(mpmath.hyp3f2(*upper, *lower, 1))
         assert hyp_pfq(spec) == pytest.approx(want, rel=1e-10)
 
+    @given(h=st.floats(0.05, 10.0), upper=st.tuples(*[st.floats(0.5, 10.0)] * 3),
+           pivot=st.integers(0, 2), split=st.floats(0.05, 0.95), q=st.integers(1, 2))
+    @example(h=1.0, upper=(2.0, 4.0, 1.0), pivot=0, split=0.5, q=1)
+    @example(h=0.05, upper=(4.94, 7.24, 4.94), pivot=0, split=0.05, q=2)
+    @example(h=9.5, upper=(3.0, 2.0, 1.0), pivot=2, split=0.5, q=2)
+    @settings(max_examples=15, deadline=None)
+    def test_matches_mpmath(self, h, upper, pivot, split, q):
+        # 2F1(a, b; a+b+h) and 3F2 whose lower parameters both exceed
+        # upper[pivot], so that it can serve as the Thomae pivot.  The
+        # examples: 2F1(2, 4; 7; 1) = 15, where a tail of two terms stops
+        # 1.5e-12 short; a Thomae sum at margin 0.05; a direct 3F2 at
+        # margin 9.5, past mpmath.hyp3f2's range.  A 2F1, and a 3F2 that no
+        # pivot serves, are summed as written, and below margin 0.6 with
+        # parameters near 10 those need more than SERIES_TERM_CAP terms.
+        if q == 1:
+            assume(h >= 0.6)
+            spec = HypergeometricSpec(upper[:2], (upper[0] + upper[1] + h,), 1.0)
+        else:
+            assume(h >= 0.6 or upper[pivot] > h)
+            room = h + sum(upper) - 2.0 * upper[pivot]
+            assume(room > 0.0)
+            lower = (upper[pivot] + split * room, upper[pivot] + (1.0 - split) * room)
+            spec = HypergeometricSpec(upper, lower, 1.0)
+        want = float(mp_unit_hyp(spec.upper, spec.lower))
+        assert hyp_pfq(spec) == pytest.approx(want, rel=1e-12)
+
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             HypergeometricSpec((2.0,), (3.0,), 1.0)  # not q+1 / q
         with pytest.raises(DomainError):
             HypergeometricSpec((2.0, -1.0), (3.0,), 1.0)
+
+    @pytest.mark.parametrize("upper,lower", [
+        ((1.5, math.nan, 1.0), (4.0, 5.0)),
+        ((1.5, 2.0, 1.0), (math.inf, 5.0)),
+        ((math.inf, 1.0), (3.0,)),
+    ])
+    def test_non_finite_parameter_rejected(self, upper, lower):
+        # refused before any term is summed: its margin would be nan
+        with pytest.raises(DomainError, match="finite"):
+            HypergeometricSpec(upper, lower, 1.0)
+
+    def test_term_that_underflows_ends_the_sum(self):
+        # t_1 = 6e-151 and t_3 underflows to 0, after which no term falls
+        # below the one before it; the value is 1 in double precision
+        got = hyp_pfq(HypergeometricSpec((1.5, 2.0, 1.0), (1e150, 5.0), 1.0))
+        assert got == 1.0 and got.terms <= 41
+
+    def test_terms_beyond_double_precision_raise(self):
+        # the terms pass 1e308 long before they fall: no double holds the sum
+        with pytest.raises(ConvergenceError, match="overflows double precision"):
+            hyp_pfq(HypergeometricSpec((1000.0, 1000.0, 1000.0), (0.5, 3001.0), 1.0))
 
     @pytest.mark.parametrize("z", [1.5, 0.5, 0.0, -1.0])
     def test_argument_other_than_one_rejected(self, z):
