@@ -144,6 +144,11 @@ class ParetoIIMargin:
             raise MomentError(f"Pareto mean infinite for delta={self.delta} <= 1")
         return self.mu + self.sigma / (self.delta - 1.0)
 
+    @property
+    def gap_ends(self) -> tuple:
+        """Exponents e of the Lorenz gap, L ~ v^e as v -> 0 and (1 - v)^e as v -> 1."""
+        return 1.0 - 1.0 / self.delta, 1.0
+
     def lorenz_gap(self, log_v, log_u):
         """Lorenz gap L(v) = int_0^v (Q(1 - t) - E[X]) dt, for delta > 1.
 
@@ -159,6 +164,7 @@ class ParetoIIMargin:
 class NormalMargin:
     mu: float
     sigma: float
+    gap_ends = (1.0, 1.0)  # see ParetoIIMargin.gap_ends
 
     def __post_init__(self):
         _require(self, positive=("sigma",))
@@ -189,6 +195,10 @@ class StudentTMargin:
 
     def mean(self) -> float:
         return self.mu
+
+    @property
+    def gap_ends(self) -> tuple:
+        return (1.0 - 1.0 / self.nu,) * 2  # see ParetoIIMargin.gap_ends
 
     def lorenz_gap(self, log_v, log_u):
         """sigma (nu + z^2)/(nu - 1) f(z), z = stdtrit(nu, min(v, 1 - v)) (L is symmetric).

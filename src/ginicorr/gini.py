@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedPairError,
 )
 from .specfun import HypergeometricSpec, _Diagnosed, hyp_pfq, ln_beta
-from .weights import WeightFunction, reflect
+from .weights import WeightFunction
 
 _DEGENERATE_REL = 1e-12
 
@@ -325,49 +325,38 @@ def empirical_pearson(s: PairedSample, n_boot: int = 200,
 # ---------------------------------------------------------------------------
 
 def lambda_w_empirical(xs, w: WeightFunction) -> float:
-    """Sample lambda_w via ranks.
-
-    Built so that empirical C_w(xs, -xs) == -lambda_w(xs) bit-for-bit on
-    tie-free data: both sides evaluate w on the identical rank arrays.
-    xs is ranked once.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if not np.all(np.isfinite(xs)):
-        raise DomainError("lambda_w needs finite sample values")
-    return _lambda_w_ranked(xs, _ranks(xs), w)
-
-
-def _lambda_w_ranked(xs: np.ndarray, r: np.ndarray, w: WeightFunction) -> float:
-    """Sample lambda_w of finite xs with average ranks r."""
-    n = xs.size
-    # under average ties rank(-x) = n + 1 - rank(x) exactly
-    return -_cw_ratio(xs, xs - xs.mean(), _rank_weights(w, r, n),
-                      _rank_weights(w, n + 1.0 - r, n))
+    """Sample lambda_w of the values xs: lambda_w(PairedSample(xs, xs), w)."""
+    return lambda_w(PairedSample(xs, xs), w)
 
 
 def lambda_w_margin(margin, w: WeightFunction) -> float:
-    """Population lambda_w of a parametric margin by tail-variable quadrature.
+    """Population lambda_w = Cov[X, w(F_X)] / -Cov[X, w(1 - F_X)] of a parametric margin.
 
-    lambda_w = Cov[X, w(F_X)] / Cov[X, w*(F_X)] = Cov[X, w*(1-F_X)] / Cov[X, w(1-F_X)],
-    since w(F) = 1 - w*(1-F) for the reflected weight w* = reflect(w).  It
-    carries both quadratures' `nfev`, summed, and `error`, propagated.
+    By quadrature: int L(1 - v) dw / int L(v) dw of its Lorenz gap L over one
+    measure (oracle._gap_cov), carrying both quadratures' `nfev`, summed,
+    and `error`, propagated.
     """
-    cov_sf = _oracle.quad_cov_margin(margin, w)
+    cov_sf = _oracle._gap_cov(margin, w)
     if cov_sf == 0.0:
         raise DegenerateSampleError("lambda_w undefined: constant weight")
-    return _oracle._ratio(_oracle.quad_cov_margin(margin, reflect(w)), cov_sf)
+    return _oracle._ratio(_oracle._gap_cov(margin, w, swap=True), cov_sf)
 
 
 def lambda_w(x, w: WeightFunction) -> float:
     """Dispatch: sample arrays / PairedSample xs -> ranks, margins -> quadrature.
 
-    A PairedSample's xs are ranked through its rank cache.
+    An array is taken as PairedSample(xs, xs): n >= 3 finite 1-d values, else
+    DomainError.  xs are ranked through the rank cache, and empirical C_w(xs, -xs)
+    == -lambda_w(xs) bit for bit on tie-free data, as both evaluate w on one rank array.
     """
-    if isinstance(x, PairedSample):
-        return _lambda_w_ranked(x.xs, _margin_ranks(x, 0), w)
     if isinstance(x, (np.ndarray, list, tuple)):
-        return lambda_w_empirical(np.asarray(x, dtype=float), w)
-    return lambda_w_margin(x, w)
+        x = PairedSample(x, x)
+    elif not isinstance(x, PairedSample):
+        return lambda_w_margin(x, w)
+    r, n = _margin_ranks(x, 0), x.n
+    # under average ties rank(-x) = n + 1 - rank(x) exactly
+    return -_cw_ratio(x.xs, x.xs - x.xs.mean(), _rank_weights(w, r, n),
+                      _rank_weights(w, n + 1.0 - r, n))
 
 
 # ---------------------------------------------------------------------------

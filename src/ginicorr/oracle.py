@@ -36,7 +36,7 @@ from .distributions import (
     margins,
     _draw,
 )
-from .errors import DegenerateSampleError, DomainError, MomentError, QuadratureError
+from .errors import DegenerateSampleError, DomainError, QuadratureError
 from .specfun import _Diagnosed, ln_beta
 from .weights import WeightFunction
 
@@ -44,20 +44,6 @@ from .weights import WeightFunction
 # Relative tolerance of every quadrature, read at each call; hoeffding_cw
 # scales it by 1e-2 per level of nesting
 QUAD_REL_TOL = 1e-8
-
-
-def _tail_power(tail_index: float) -> float:
-    """The least k >= 1 that leaves the s-integrand no worse than s^(-19/20).
-
-    Qbar(t) ~ t^(-1/alpha) for tail index alpha, so in t = s^k the integrand
-    near s = 0 goes like s^(k (1 - 1/alpha) - 1).  tanh-sinh samples s down
-    to the smallest normal double, 2.2e-308, and the part below it is then
-    under (2.2e-308)^(1/20) * 20 = 1e-14 of the scale.  A larger k squeezes
-    the bulk of t into a thin layer below s = 1 and costs accuracy.
-    """
-    if tail_index <= 1.0:
-        raise MomentError(f"covariance needs a finite mean, got tail index {tail_index}")
-    return max(1.0, 0.05 / (1.0 - 1.0 / tail_index))
 
 
 # Levels of the tanh-sinh rule, read at each call: the first pass sums
@@ -165,19 +151,21 @@ def _tanhsinh(f, hi, args=(), *, rtol, atol=np.finfo(float).tiny):
     return out
 
 
-def _against_dw(g, w: WeightFunction, **tol):
+def _against_dw(g, w: WeightFunction, ends, **tol):
     """int_0^1 g(v) dw(v) over the pieces of w's measure: (integral, error, status, nfev).
 
     g(log_v, log_u, dw) returns g at v from log v and log u = log(1 - v),
     each formed where it is accurate; dw is the density of the measure
-    there, for a cut-off.  I_v(a, b), and t^gamma as I_v(gamma, 1), run in
-    s = v^p with dw = c v^(a-p) (1 - v)^(b-1) ds, c = 1/(p B(a, b)):
-    p = gamma makes s = w(v) for t^gamma, p = min(a, 1) keeps the density
-    of I_v(a, b) bounded at 0 without putting its mass below the smallest
-    s.  For b < 1 the density is singular at v = 1, where v is too coarse
-    to follow it, so above v = 1/2 the integral runs as that of the
-    reflected weight I_u(b, a) in u = 1 - v (a flipped piece).  A table
-    spans v = s0 + r ds, dw = rise dr, r in [0, 1], across each knot
+    there, for a cut-off.  g ~ v^e0 as v -> 0 and (1 - v)^e1 as v -> 1,
+    (e0, e1) = ends.  I_v(a, b), and t^gamma as I_v(gamma, 1), runs in
+    s = v^p with dw = c v^(a-p) (1 - v)^(b-1) ds, c = 1/(p B(a, b)).  Near
+    v = 0 g dw follows the beta(al, b) law, al = a + e0; 1/p = 1/al +
+    log(1 + b/al) >= 1/al keeps g dw bounded at s = 0, and for b >= 1 is its
+    E[-log v] to a factor 2: the bulk sits at -log s in [1/2, 1] for any a.
+    For b < 1 the density is singular at v = 1, where v is too coarse to
+    follow it, so above v = 1/2 the integral runs as that of the reflected
+    weight I_u(b, a) in u = 1 - v, with al = b + e1 (a flipped piece).  A
+    table spans v = s0 + r ds, dw = rise dr, r in [0, 1], across each knot
     interval that rises.  Below s = 1/2, log s = log ds + log(r + s0/ds)
     does not underflow however close to 0 a piece lies; above it, log s
     comes from 1 - s = (1 - s0) - r ds, since a knot interval just below 1
@@ -194,16 +182,17 @@ def _against_dw(g, w: WeightFunction, **tol):
         top, log_b = (0.5 if b < 1.0 else 1.0), ln_beta(a, b)  # v or u atop each piece
         flip = np.arange(1 + (b < 1.0)) == 1
         a, b = np.where(flip, b, a), np.where(flip, a, b)
-        p = np.minimum(a, 1.0) if w.kind == "beta_cdf" else a
+        al = a + np.where(flip, ends[1], ends[0])
+        p = al / (1.0 + al * np.log1p(b / al))
         s0, ds = np.zeros(flip.shape), top ** p
-        log_c = np.log(ds / p) - log_b if w.kind == "beta_cdf" else np.zeros(flip.shape)
+        log_c = np.log(ds / p) - log_b
 
     def integrand(r, s0, ds, log_c, p, a, b, flip):
         ls = np.where(s0 + r * ds < 0.5, np.log(ds) + np.log(r + s0 / ds),
                       np.log1p(np.maximum(r * ds - (1.0 - s0), -0.5)))
         lx = np.minimum(ls, 0.0) / p                        # log v, or log u if flipped
-        ly = np.where(flip, np.log1p(-np.minimum(np.exp(lx), 0.5)),
-                      np.log(np.maximum(-np.expm1(lx), np.finfo(float).tiny)))
+        # log(1 - e^lx), each side of lx = -log 2 formed where it is exact
+        ly = np.where(lx < -math.log(2.0), np.log1p(-np.exp(lx)), np.log(-np.expm1(lx)))
         dw = np.exp(log_c + (a - p) * lx + (b - 1.0) * ly)
         log_v, log_u = np.where(flip, ly, lx), np.where(flip, lx, ly)
         return g(log_v, log_u, dw) * dw
@@ -211,8 +200,8 @@ def _against_dw(g, w: WeightFunction, **tol):
     return _tanhsinh(integrand, np.ones_like(s0), args=(s0, ds, log_c, p, a, b, flip), **tol)
 
 
-def quad_cov_margin(margin, w: WeightFunction) -> float:
-    """Cov[X, w(1 - F_X(X))] = -int_0^1 L(v) dw(v) by tanh-sinh quadrature.
+def _gap_cov(margin, w: WeightFunction, swap: bool = False) -> float:
+    """-int_0^1 L dw = Cov[X, w(1 - F_X(X))], or if swap -int L(1 - v) dw = -Cov[X, w(F_X(X))].
 
     `margin` is a ParetoIIMargin, NormalMargin or StudentTMargin with a
     finite mean (else MomentError).  In v = 1 - F_X(x) the covariance is
@@ -222,11 +211,13 @@ def quad_cov_margin(margin, w: WeightFunction) -> float:
     no cancellation in the integrand the tolerance is QUAD_REL_TOL alone,
     on each piece of w's measure (see _against_dw), whatever the scale of
     the covariance.  The float returned also carries the quadrature's
-    error estimate (`error`) and its evaluations (`nfev`).
+    error estimate (`error`) and its evaluations (`nfev`); a non-zero
+    status raises QuadratureError.
     """
     margin.mean()  # raises MomentError where the mean is infinite
     value, error, status, nfev = _against_dw(
-        lambda log_v, log_u, dw: margin.lorenz_gap(log_v, log_u), w, rtol=QUAD_REL_TOL)
+        lambda lv, lu, dw: margin.lorenz_gap(*((lu, lv) if swap else (lv, lu))),
+        w, margin.gap_ends[::-1] if swap else margin.gap_ends, rtol=QUAD_REL_TOL)
     value, error, nfev = -float(value.sum()), float(error.sum()), int(nfev.sum())
     if np.any(status != 0):
         raise QuadratureError(
@@ -235,6 +226,11 @@ def quad_cov_margin(margin, w: WeightFunction) -> float:
             estimate=value, error_estimate=error,
         )
     return _Diagnosed(value, error=error, nfev=nfev)
+
+
+def quad_cov_margin(margin, w: WeightFunction) -> float:
+    """Cov[X, w(1 - F_X(X))] = -int_0^1 L(v) dw(v) by tanh-sinh quadrature (see _gap_cov)."""
+    return _gap_cov(margin, w)
 
 
 def _ratio(num: float, den: float) -> float:
@@ -257,14 +253,14 @@ def hoeffding_cw(f: BivariateFamily, w: WeightFunction) -> float:
     Cuadras 2002) C_w = int H dw / int L_X dw, H(v) = int (S - S_X S_Y) dx
     at v = S_Y(y): a dw-average of H/L_X, as 0 <= H <= L_X.  The
     denominator, quad_cov_margin of the X margin, comes first; the
-    numerator runs over the same measure (see _against_dw), and leaves H at
-    0 where dw L_X, the most it adds, is below QUAD_REL_TOL 1e-4 of the
-    denominator.  H runs in the tail variable S_X(x) = t^k (see
-    _tail_power), split at the ridge p = q where L bends once q < 1/e:
-    below it in t / ridge, above it in log(t / ridge), both formed from
-    log t, so a ridge below the smallest double loses nothing; L comes from
-    log p and log q.  The tolerances are relative, QUAD_REL_TOL scaled by
-    1e-2 per level of nesting; the outer one is also absolute, times the
+    numerator runs over the same measure with L_X's end exponents (see
+    _against_dw), and leaves H at 0 where dw L_X, the most it adds, is
+    below QUAD_REL_TOL 1e-4 of the denominator.  H runs in the tail
+    variable S_X(x) = t^k, split at the ridge p = q where L bends once
+    q < 1/e: below it in t / ridge, above it in log(t / ridge), both formed
+    from log t, so a ridge below the smallest double loses nothing; L comes
+    from log p and log q.  The tolerances are relative, QUAD_REL_TOL scaled
+    by 1e-2 per level of nesting; the outer one is also absolute, times the
     denominator, since below the scale of the cut-off its integrand jumps.
     No density expansion, 3F2 series or regression line enters.  The float
     returned carries `nfev`, the outer, inner and denominator evaluations,
@@ -278,7 +274,12 @@ def hoeffding_cw(f: BivariateFamily, w: WeightFunction) -> float:
     cov_den = quad_cov_margin(mx, w)  # rejects dX* <= 1
     if cov_den == 0.0:
         raise DegenerateSampleError("C_w undefined: constant weight")
-    k = _tail_power(dxs)
+    # the inner integrand goes like t^(k e0 - 1) near t = 0, e0 = 1 - 1/dX*
+    # the gap's exponent there; k is the least k >= 1 that leaves it no
+    # worse than t^(-19/20).  tanh-sinh samples t down to 2.2e-308, and the
+    # part below is then under (2.2e-308)^(1/20) * 20 = 1e-14 of the scale;
+    # a larger k squeezes the bulk of S_X into a thin layer below t = 1.
+    k = max(1.0, 0.05 / mx.gap_ends[0])
     cx, px = k / dxs, k * (1.0 - 1.0 / dxs) - 1.0
     inner_fails, inner_error, inner_nfev = 0, 0.0, 0
 
@@ -314,7 +315,7 @@ def hoeffding_cw(f: BivariateFamily, w: WeightFunction) -> float:
         value[live] = part.reshape(2, -1).sum(axis=0)
         return value
 
-    value, error, status, nfev = _against_dw(inner, w, rtol=QUAD_REL_TOL * 1e-2,
+    value, error, status, nfev = _against_dw(inner, w, mx.gap_ends, rtol=QUAD_REL_TOL * 1e-2,
                                              atol=QUAD_REL_TOL * 1e-2 * -cov_den)
     cov_num = -float(value.sum())
     error = float(error.sum()) + inner_error

@@ -532,6 +532,15 @@ class TestLambdaW:
         xs = m.quantile(u)  # deterministic stratified sample
         assert lambda_w_empirical(xs, W_POW2) == pytest.approx(1.4, abs=2e-3)
 
+    @pytest.mark.parametrize("xs", [[1.0, 2.0], np.arange(9.0).reshape(3, 3),
+                                    [1.0, np.nan, 2.0, 3.0]],
+                             ids=["n=2", "2-d", "not finite"])
+    def test_sample_domain_is_that_of_a_paired_sample(self, xs):
+        # an array is taken as PairedSample(xs, xs), which C_w itself needs
+        for f in (lambda_w, lambda_w_empirical):
+            with pytest.raises(DomainError):
+                f(xs, W_POW2)
+
 
 class TestClosedCw:
     def test_normal_any_weight(self):
