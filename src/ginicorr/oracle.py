@@ -157,47 +157,55 @@ def _against_dw(g, w: WeightFunction, ends, **tol):
     g(log_v, log_u, dw) returns g at v from log v and log u = log(1 - v),
     each formed where it is accurate; dw is the density of the measure
     there, for a cut-off.  g ~ v^e0 as v -> 0 and (1 - v)^e1 as v -> 1,
-    (e0, e1) = ends.  I_v(a, b), and t^gamma as I_v(gamma, 1), runs in
-    s = v^p with dw = c v^(a-p) (1 - v)^(b-1) ds, c = 1/(p B(a, b)).  Near
-    v = 0 g dw follows the beta(al, b) law, al = a + e0; 1/p = 1/al +
-    log(1 + b/al) >= 1/al keeps g dw bounded at s = 0, and for b >= 1 is its
-    E[-log v] to a factor 2: the bulk sits at -log s in [1/2, 1] for any a.
-    For b < 1 the density is singular at v = 1, where v is too coarse to
-    follow it, so above v = 1/2 the integral runs as that of the reflected
-    weight I_u(b, a) in u = 1 - v, with al = b + e1 (a flipped piece).  A
-    table spans v = s0 + r ds, dw = rise dr, r in [0, 1], across each knot
-    interval that rises.  Below s = 1/2, log s = log ds + log(r + s0/ds)
-    does not underflow however close to 0 a piece lies; above it, log s
-    comes from 1 - s = (1 - s0) - r ds, since a knot interval just below 1
-    can be narrower than the spacing of doubles there.
+    (e0, e1) = ends.  With dw = dI_v(a, b) (t^gamma is I_v(gamma, 1)), g dw
+    is beta(al, b) in shape near 0, al = a + e0, and for b > 3 falls above
+    m = (al + 1)/(al + b), past a cliff at v ~ 1/b if al is small; else
+    m = 1.  Below m it runs in v = m z^(1/p), p = al/(1 + min(al, 1)), above
+    in 1 - v = (1 - m) z^(1/p), p = b/2: g dw vanishes at z = 0, where
+    tanh-sinh crowds its nodes.  For b < 1 the density is singular at 1, so
+    above v = 1/2 it runs as the reflected I_u(b, a), u = 1 - v, al = b + e1,
+    m capped at 1/2.  A rising table interval [t0, t1] is a p = 1 piece in
+    v = t1 z or 1 - v = (1 - t0) z.  log v or log(1 - v) comes from log z,
+    so it does not underflow, and the power of z is taken whole, since
+    those of v and dv/dz cancel.
     """
     if w.kind == "table":
         rise = np.diff(w.knots_w)
         up = rise > 0.0
-        s0, ds, log_c = w.knots_t[:-1][up], np.diff(w.knots_t)[up], np.log(rise[up])
-        p = a = b = np.ones_like(s0)
-        flip = np.zeros(s0.shape, dtype=bool)
+        t0, t1, log_c = w.knots_t[:-1][up], w.knots_t[1:][up], np.log(rise[up])
+        from_v = t0 + t1 <= 1.0                             # else from 1 - v
+        l0 = np.where(from_v, np.log(t1), np.log1p(-t0))
+        c = np.where(from_v, t0 / t1, (1.0 - t1) / (1.0 - t0))
+        p, e_z, e_far = np.ones_like(c), np.zeros_like(c), np.zeros_like(c)
     else:
         a, b = (w.a, w.b) if w.kind == "beta_cdf" else (w.gamma, 1.0)
         top, log_b = (0.5 if b < 1.0 else 1.0), ln_beta(a, b)  # v or u atop each piece
-        flip = np.arange(1 + (b < 1.0)) == 1
-        a, b = np.where(flip, b, a), np.where(flip, a, b)
-        al = a + np.where(flip, ends[1], ends[0])
-        p = al / (1.0 + al * np.log1p(b / al))
-        s0, ds = np.zeros(flip.shape), top ** p
-        log_c = np.log(ds / p) - log_b
+        pieces = []                                         # (c, l0, log_c, p, e_z, e_far, from_v)
+        for flip in range(1 + (b < 1.0)):                   # in v, then in u = 1 - v
+            ka, kb = (b, a) if flip else (a, b)             # the density's powers of x, 1 - x
+            al = ka + ends[flip]
+            # (1 - x)^(kb - 1) is at most quadratic for kb <= 3: no cliff to split at
+            m = min(top, (al + 1.0) / (al + kb)) if kb > 3.0 else top
+            p, l0 = al / (1.0 + min(al, 1.0)), math.log(m)
+            pieces.append((0.0, l0, ka * l0 - math.log(p) - log_b, p, ka / p - 1.0, kb - 1.0,
+                           not flip))
+            if m < top:
+                p, l0 = kb / 2.0, math.log1p(-m)
+                c = ((1.0 - top) / (1.0 - m)) ** p
+                pieces.append((c, l0, kb * l0 + math.log1p(-c) - math.log(p) - log_b, p, 1.0,
+                               ka - 1.0, bool(flip)))
+        c, l0, log_c, p, e_z, e_far, from_v = map(np.array, zip(*pieces))
 
-    def integrand(r, s0, ds, log_c, p, a, b, flip):
-        ls = np.where(s0 + r * ds < 0.5, np.log(ds) + np.log(r + s0 / ds),
-                      np.log1p(np.maximum(r * ds - (1.0 - s0), -0.5)))
-        lx = np.minimum(ls, 0.0) / p                        # log v, or log u if flipped
-        # log(1 - e^lx), each side of lx = -log 2 formed where it is exact
-        ly = np.where(lx < -math.log(2.0), np.log1p(-np.exp(lx)), np.log(-np.expm1(lx)))
-        dw = np.exp(log_c + (a - p) * lx + (b - 1.0) * ly)
-        log_v, log_u = np.where(flip, ly, lx), np.where(flip, lx, ly)
-        return g(log_v, log_u, dw) * dw
+    def integrand(r, c, l0, log_c, p, e_z, e_far, from_v):
+        lz = np.log(c + (1.0 - c) * r)
+        end = np.minimum(l0 + lz / p, 0.0)                  # log of x = v, u, 1 - v or 1 - u
+        # log(1 - x), each side of x = 1/2 formed where it is exact
+        far = np.where(end < -math.log(2.0), np.log1p(-np.exp(end)), np.log(-np.expm1(end)))
+        dw = np.exp(log_c + e_z * lz + e_far * far)
+        return g(np.where(from_v, end, far), np.where(from_v, far, end), dw) * dw
 
-    return _tanhsinh(integrand, np.ones_like(s0), args=(s0, ds, log_c, p, a, b, flip), **tol)
+    return _tanhsinh(integrand, np.ones_like(c), args=(c, l0, log_c, p, e_z, e_far, from_v),
+                     **tol)
 
 
 def _gap_cov(margin, w: WeightFunction, swap: bool = False) -> float:

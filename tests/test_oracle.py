@@ -515,16 +515,11 @@ def _log_uniform(lo, hi):
 
 @st.composite
 def _small_exponent_weights(draw):
-    """power(gamma), gamma log-uniform over [1e-12, 1e3], or beta(a, b) over [1e-12, 10].
-
-    A beta parameter above ~15 puts the bulk of the weight's measure into an
-    interior peak or a cliff that the dw map does not follow; those points
-    are TestSmallWeightExponents.KNOWN_MISSES.
-    """
+    """power(gamma) or beta(a, b), each parameter log-uniform over [1e-12, 1e3]."""
     if draw(st.booleans()):
         return WeightFunction.power(draw(_log_uniform(1e-12, 1e3)))
-    return WeightFunction.beta_cdf(draw(_log_uniform(1e-12, 10.0)),
-                                   draw(_log_uniform(1e-12, 10.0)))
+    return WeightFunction.beta_cdf(draw(_log_uniform(1e-12, 1e3)),
+                                   draw(_log_uniform(1e-12, 1e3)))
 
 
 def _bvp2_beta_mpmath(f, a, b):
@@ -598,18 +593,23 @@ class TestSmallWeightExponents:
         assert cw == pytest.approx(1.0 / delta, rel=1e-12 if delta >= 1.5 else 1e-9, abs=0.0)
         assert lams == pytest.approx([1.0, 1.0], rel=0.0, abs=1e-12)
 
-    # beta weights with a parameter above ~15, which a variable taken from
-    # the weight alone resolves: g dw has an interior peak or a cliff at v ~ 1/b,
-    # and the first tanh-sinh pass ends on coarse levels that agree by
-    # chance, off by more than QUAD_REL_TOL (by 6e-5, 2e-7 and 3e-8)
-    KNOWN_MISSES = [(1.5, WeightFunction.beta_cdf(5.93004e-10, 274.548)),
-                    (1.01, WeightFunction.beta_cdf(4.79309e-08, 16.5706)),
-                    (50.0, WeightFunction.beta_cdf(5.24471, 36.0831))]
+    # beta weights with a parameter above ~15, whose bulk lies in a peak or
+    # below a cliff at v ~ 1/b: one power map of all of [0, 1] ended on
+    # coarse levels that agreed by chance (the first three: 6e-5, 2e-7 and
+    # 3e-8 off at status 0); the rest have a thin half-peak just above m
+    LARGE_B = [(1.5, WeightFunction.beta_cdf(5.93004e-10, 274.548)),
+               (1.01, WeightFunction.beta_cdf(4.79309e-08, 16.5706)),
+               (50.0, WeightFunction.beta_cdf(5.24471, 36.0831)),
+               (1.5, WeightFunction.beta_cdf(18.8873, 278.445)),
+               (33.6336, WeightFunction.beta_cdf(53.2625, 703.297)),
+               (46.5408, WeightFunction.beta_cdf(0.046169, 212.905)),
+               (20.2082, WeightFunction.beta_cdf(454.204, 525.254))]
 
-    @pytest.mark.xfail(reason="the dw map follows no interior peak or cliff of the weight")
-    @pytest.mark.parametrize("delta,w", KNOWN_MISSES)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta,w", LARGE_B)
     def test_large_beta_parameter(self, delta, w):
-        assert hoeffding_cw(BVP1(delta=delta), w) == pytest.approx(1.0 / delta, rel=QUAD_REL_TOL)
+        got = hoeffding_cw(BVP1(delta=delta), w)
+        assert got == pytest.approx(1.0 / delta, rel=1e-12 if delta >= 1.5 else 1e-9, abs=0.0)
 
 
 class TestLambdaWOfTinyTables:
