@@ -247,9 +247,24 @@ class _Family:
             f"{fl.name}={getattr(self, fl.name):g}" for fl in fields(self)) + ")"
 
 
+class _Elliptical(_Family):
+    """What Normal and EllipticalT share: the dispersion matrix from sigma_x, sigma_y, sigma_xy.
+
+    Both have E[X | Y] linear with slope sigma_xy / sigma_y^2 and C_w equal
+    to the dispersion correlation for every weight; Normal is the nu = inf
+    member, with sigma_xy = rho sigma_x sigma_y.
+    """
+
+    @property
+    def dispersion(self) -> np.ndarray:
+        return np.array([[self.sigma_x ** 2, self.sigma_xy],
+                         [self.sigma_xy, self.sigma_y ** 2]])
+
+
 @dataclass(frozen=True)
-class Normal(_Family):
+class Normal(_Elliptical):
     name = "normal"
+    nu = math.inf  # the t family's limit; like sigma_xy below, not a dataclass field
 
     mu_x: float = 0.0
     mu_y: float = 0.0
@@ -262,9 +277,13 @@ class Normal(_Family):
         if not abs(self.rho) < 1.0:
             raise DomainError(f"|rho| must be < 1, got {self.rho}")
 
+    @property
+    def sigma_xy(self) -> float:
+        return self.rho * self.sigma_x * self.sigma_y
+
 
 @dataclass(frozen=True)
-class EllipticalT(_Family):
+class EllipticalT(_Elliptical):
     """Bivariate Student t with dispersion matrix [[sx^2, sxy], [sxy, sy^2]].
 
     The dispersion entries are not variances (those are nu/(nu-2) times
@@ -288,11 +307,6 @@ class EllipticalT(_Family):
         det = self.sigma_x ** 2 * self.sigma_y ** 2 - self.sigma_xy ** 2
         if not det > 0.0:
             raise DomainError("dispersion matrix must be positive definite")
-
-    @property
-    def dispersion(self) -> np.ndarray:
-        return np.array([[self.sigma_x ** 2, self.sigma_xy],
-                         [self.sigma_xy, self.sigma_y ** 2]])
 
 
 @dataclass(frozen=True)
@@ -440,9 +454,7 @@ def joint_ddf(f: BivariateFamily, x, y):
                                  np.asarray(y, dtype=float))
     pts = np.column_stack([-np.atleast_1d(xb).ravel(), -np.atleast_1d(yb).ravel()])
     if isinstance(f, Normal):
-        cov = np.array([[f.sigma_x ** 2, f.rho * f.sigma_x * f.sigma_y],
-                        [f.rho * f.sigma_x * f.sigma_y, f.sigma_y ** 2]])
-        vals = sps.multivariate_normal(mean=[-f.mu_x, -f.mu_y], cov=cov).cdf(pts)
+        vals = sps.multivariate_normal(mean=[-f.mu_x, -f.mu_y], cov=f.dispersion).cdf(pts)
     elif isinstance(f, EllipticalT):
         vals = sps.multivariate_t(loc=[-f.mu_x, -f.mu_y], shape=f.dispersion,
                                   df=f.nu, seed=_T_CDF_SEED).cdf(pts)
@@ -466,62 +478,58 @@ class RegressionLine:
     beta: float
 
 
+def _pareto_slope(f) -> float:
+    """The slope b of E[X | Y] = mu_x + sigma_x b (1 + (Y - mu_y)/sigma_y) of a Pareto family.
+
+    b = (dY* - 1)/((delta - 1) dY*) when delta_x = 0 (BVP1, BVP2), formed
+    so that dY* = delta (BVP1) gives 1/delta exactly.  delta_x > 0 (BVP3)
+    has no linear regression, and an infinite X mean raises MomentError.
+    """
+    if f.delta_x > 0.0:
+        raise NoLinearRegressionError("BVP3 has no linear regression function of X on Y")
+    margins(f)[0].mean()
+    dys = f.delta_y_star
+    return (dys - 1.0) / (f.delta - 1.0) / dys
+
+
 def regression_line(f: BivariateFamily) -> RegressionLine:
     """The (alpha, beta) of the family's linear regression of X on Y.
 
-    BVP3 has no linear regression function and raises; infinite-mean
-    parameter regimes raise MomentError.
+    Elliptical families: beta = sigma_xy / sigma_y^2.  Pareto families: see
+    _pareto_slope, which raises for BVP3 and infinite-mean parameter regimes.
     """
-    if isinstance(f, Normal):
-        beta = f.rho * f.sigma_x / f.sigma_y
-        return RegressionLine(f.mu_x - beta * f.mu_y, beta)
-    if isinstance(f, EllipticalT):
+    if isinstance(f, _Elliptical):
         beta = f.sigma_xy / f.sigma_y ** 2
         return RegressionLine(f.mu_x - beta * f.mu_y, beta)
-    if isinstance(f, BVP1):
-        if f.delta <= 1.0:
-            raise MomentError(f"regression needs delta > 1, got {f.delta}")
-        beta = f.sigma_x / (f.delta * f.sigma_y)
-        alpha = f.mu_x + (f.sigma_x / f.delta) * (1.0 - f.mu_y / f.sigma_y)
-        return RegressionLine(alpha, beta)
-    if isinstance(f, BVP2):
-        if f.delta <= 1.0:
-            raise MomentError(f"regression needs delta > 1, got {f.delta}")
-        dys = f.delta_y_star
-        alpha0 = f.sigma_x * (dys - 1.0) / (dys * (f.delta - 1.0))
+    if isinstance(f, PARETO_FAMILIES):
+        alpha0 = f.sigma_x * _pareto_slope(f)
         beta = alpha0 / f.sigma_y
         return RegressionLine(f.mu_x + alpha0 - beta * f.mu_y, beta)
-    if isinstance(f, BVP3):
-        raise NoLinearRegressionError(
-            "BVP3 has no linear regression function of X on Y"
-        )
     raise DomainError(f"unknown family {f!r}")
 
 
 def pearson_closed_form(f: BivariateFamily) -> float:
-    """Population Pearson correlation, where the second moments exist."""
-    if isinstance(f, Normal):
-        return f.rho
-    if isinstance(f, EllipticalT):
+    """Population Pearson correlation, where the second moments exist.
+
+    Elliptical families: the dispersion correlation, for nu > 2.  Pareto
+    families with delta_x = 0: sqrt((delta - 2)/(delta dY* (dY* - 2))), for
+    delta > 2, formed from ratios so that no product overflows and dY* =
+    delta (BVP1) gives 1/delta exactly.
+    """
+    if isinstance(f, _Elliptical):
         if f.nu <= 2.0:
             raise MomentError(f"Pearson needs nu > 2, got {f.nu}")
         return f.sigma_xy / (f.sigma_x * f.sigma_y)
-    if isinstance(f, BVP1):
-        if f.delta <= 2.0:
-            raise MomentError(f"Pearson needs delta > 2, got {f.delta}")
-        return 1.0 / f.delta
-    if isinstance(f, BVP2):
-        dys = f.delta_y_star
-        if f.delta <= 2.0 or dys <= 2.0:
-            raise MomentError(
-                f"Pearson needs delta > 2 and delta_y* > 2, got {f.delta}, {dys}"
+    if isinstance(f, PARETO_FAMILIES):
+        if f.delta_x > 0.0:
+            raise UnsupportedPairError(
+                "no closed-form Pearson for BVP3 here; use a Monte Carlo reference",
+                suggestion="oracle.mc_reference(f, 'pearson', ...)",
             )
-        return math.sqrt((f.delta - 2.0) / (f.delta * dys * (dys - 2.0)))
-    if isinstance(f, BVP3):
-        raise UnsupportedPairError(
-            "no closed-form Pearson for BVP3 here; use a Monte Carlo reference",
-            suggestion="oracle.mc_reference(f, 'pearson', ...)",
-        )
+        d, dys = f.delta, f.delta_y_star
+        if d <= 2.0:  # dY* >= delta
+            raise MomentError(f"Pearson needs delta > 2, got {d}")
+        return math.sqrt(d / dys * ((d - 2.0) / (dys - 2.0))) / d
     raise DomainError(f"unknown family {f!r}")
 
 

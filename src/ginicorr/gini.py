@@ -23,15 +23,14 @@ import numpy as np
 
 from . import oracle as _oracle
 from .distributions import (
-    BVP1,
-    BVP2,
     BVP3,
+    PARETO_FAMILIES,
     BivariateFamily,
-    EllipticalT,
-    Normal,
     PairedSample,
     ParetoIIMargin,
     _checked_seed,
+    _Elliptical,
+    _pareto_slope,
     bvp3_pdf_terms,
     margins,
     regression_line,
@@ -39,7 +38,6 @@ from .distributions import (
 from .errors import (
     DegenerateSampleError,
     DomainError,
-    MomentError,
     UnsupportedPairError,
 )
 from .specfun import HypergeometricSpec, _Diagnosed, hyp_pfq, ln_beta
@@ -366,31 +364,37 @@ def lambda_w(x, w: WeightFunction) -> float:
 def cov_x_weighted(m, w: WeightFunction) -> float:
     """Cov[X, w(1 - F_X(X))] for any margin.
 
-    A Pareto II margin requires delta > 1 and has closed forms for power
-    weights,
-        -(gamma/(gamma+1)) sigma delta / ((delta-1)(delta(gamma+1)-1)),
-    and beta-c.d.f. weights,
-        (sigma delta/(delta-1)) (1 - B(a+1-1/delta, b)/B(a, b) - b/(a+b)),
-    whose value carries error 0.0 and nfev 0.  Any other margin or weight
-    returns oracle.quad_cov_margin's value, which carries its quadrature
-    error and evaluations.  Negative for any non-constant admissible weight.
+    A Pareto II margin requires delta > 1 (MomentError otherwise) and is
+    sigma times _pareto_factor for power and beta-c.d.f. weights, a value
+    that carries error 0.0 and nfev 0.  Any other margin or weight returns
+    oracle.quad_cov_margin's value, which carries its quadrature error and
+    evaluations.  Negative for any non-constant admissible weight.
     """
     if isinstance(m, ParetoIIMargin):
-        if m.delta <= 1.0:
-            raise MomentError(f"covariance needs delta > 1, got {m.delta}")
-        d, sig, gamma = m.delta, m.sigma, w.gamma
-        if w.kind in ("identity", "power"):
-            value = -(gamma / (gamma + 1.0)) * sig * d / ((d - 1.0) * (d * (gamma + 1.0) - 1.0))
-            return _Diagnosed(value, error=0.0, nfev=0)
-        if w.kind == "beta_cdf":
-            return _Diagnosed((sig * d / (d - 1.0)) * _beta_shape(d, w.a, w.b),
-                              error=0.0, nfev=0)
+        m.mean()  # raises MomentError where the mean is infinite
+        k = _pareto_factor(m.delta, w)
+        if k is not None:
+            return _Diagnosed(m.sigma * k, error=0.0, nfev=0)
     return _oracle.quad_cov_margin(m, w)
 
 
-def _beta_shape(d: float, a: float, b: float) -> float:
-    """1 - B(a+1-1/d, b)/B(a, b) - b/(a+b): the beta(a, b) weight's Pareto(d) factor."""
-    return 1.0 - math.exp(ln_beta(a + 1.0 - 1.0 / d, b) - ln_beta(a, b)) - b / (a + b)
+def _pareto_factor(d: float, w: WeightFunction) -> float | None:
+    """Cov[X, w(1 - F_X(X))] of the unit Pareto II(d) margin, d > 1, in closed form.
+
+    Power weights t^gamma:
+        -(gamma/(gamma+1)) d / ((d-1)(d(gamma+1)-1)),
+    beta-c.d.f. weights:
+        (d/(d-1)) (1 - B(a+1-1/d, b)/B(a, b) - b/(a+b)).
+    None for a table weight, which has no closed form.
+    """
+    if w.kind in ("identity", "power"):
+        gamma = w.gamma
+        return -(gamma / (gamma + 1.0)) * d / ((d - 1.0) * (d * (gamma + 1.0) - 1.0))
+    if w.kind == "beta_cdf":
+        a, b = w.a, w.b
+        return (d / (d - 1.0)) * (
+            1.0 - math.exp(ln_beta(a + 1.0 - 1.0 / d, b) - ln_beta(a, b)) - b / (a + b))
+    return None
 
 
 def _margin_covs(f: BivariateFamily, w: WeightFunction):
@@ -409,14 +413,6 @@ def _margin_covs(f: BivariateFamily, w: WeightFunction):
 # closed forms
 # ---------------------------------------------------------------------------
 
-def _bvp2_power(delta: float, dys: float, gamma: float) -> float:
-    return (1.0 / delta) * (delta * (gamma + 1.0) - 1.0) / (dys * (gamma + 1.0) - 1.0)
-
-
-def _bvp2_beta(delta: float, dys: float, a: float, b: float) -> float:
-    return (1.0 / delta) * _beta_shape(dys, a, b) / _beta_shape(delta, a, b)
-
-
 def _bvp3_closed(f: BVP3, gamma: float) -> tuple[float, dict]:
     """Extended Gini correlation of BVP3 from the triple-index expansion.
 
@@ -429,9 +425,8 @@ def _bvp3_closed(f: BVP3, gamma: float) -> tuple[float, dict]:
     margin max(h, 1) or more (Thomae's transformation when h < 1).
     Returns the value and the diagnostics of the series summed.
     """
+    margins(f)[0].mean()  # raises MomentError unless dX* > 1
     dxs, dys = f.delta_x_star, f.delta_y_star
-    if dxs <= 1.0:
-        raise MomentError(f"needs delta_x* > 1 for a finite mean, got {dxs}")
     moment = 0.0
     sums = []
     for (i1, i2, i3), coeff in bvp3_pdf_terms(f):
@@ -441,7 +436,7 @@ def _bvp3_closed(f: BVP3, gamma: float) -> tuple[float, dict]:
         sums.append(val)
         moment += coeff * (val / ((m - 2.0) * (m - 1.0) * (c - 1.0)))
     cov_num = moment - 1.0 / ((dxs - 1.0) * (gamma + 1.0))
-    cov_den = cov_x_weighted(ParetoIIMargin(0.0, 1.0, dxs), WeightFunction.power(gamma))
+    cov_den = _pareto_factor(dxs, WeightFunction.power(gamma))
     detail = {"h": f.delta_x + (gamma + 1.0) * dys - 1.0,
               "series_margin": min(v.margin for v in sums),
               "series_terms": sum(v.terms for v in sums),
@@ -452,36 +447,25 @@ def _bvp3_closed(f: BVP3, gamma: float) -> tuple[float, dict]:
 def closed_cw(f: BivariateFamily, w: WeightFunction) -> CorrelationReport:
     """Closed-form weighted Gini correlation for supported (family, weight) pairs.
 
-    Normal and elliptical-t: the (dispersion) correlation, for every
-    admissible weight.  BVP1: 1/delta for every admissible weight (delta > 1).
-    BVP2: power or beta-c.d.f. weights.  BVP3: power weights; detail
-    records the direct 3F2 margin h, the smallest margin actually summed
-    (series_margin, at least 1), the total terms summed (series_terms) and
-    the largest share of a sum that its tail estimate makes up
-    (series_tail_share).
+    Normal and elliptical-t: the dispersion correlation, for every
+    admissible weight.  Pareto families with delta_x = 0 (BVP1, BVP2): the
+    regression identity beta k(dY*) / k(delta) in standard units, with
+    beta = _pareto_slope and k = _pareto_factor, for power or beta-c.d.f.
+    weights; with dY* = delta (BVP1) the margins are equal and the value is
+    1/delta for every admissible weight (delta > 1).  BVP3: power weights;
+    detail records the direct 3F2 margin h, the smallest margin actually
+    summed (series_margin, at least 1), the total terms summed
+    (series_terms) and the largest share of a sum that its tail estimate
+    makes up (series_tail_share).
     Every Pareto value has an independent check in oracle.hoeffding_cw,
     which also covers the pairs raising UnsupportedPairError here.
     """
     detail = {}
-    if isinstance(f, Normal):
-        value = f.rho
-    elif isinstance(f, EllipticalT):
+    if isinstance(f, _Elliptical):
         value = f.sigma_xy / (f.sigma_x * f.sigma_y)
-    elif isinstance(f, (BVP1, BVP2)) and f.delta <= 1.0:
-        raise MomentError(f"closed form needs delta > 1, got {f.delta}")
-    elif isinstance(f, BVP1):
-        value = 1.0 / f.delta
-    elif isinstance(f, BVP2):
-        if w.kind in ("identity", "power"):
-            value = _bvp2_power(f.delta, f.delta_y_star, w.gamma)
-        elif w.kind == "beta_cdf":
-            value = _bvp2_beta(f.delta, f.delta_y_star, w.a, w.b)
-        else:
-            raise UnsupportedPairError(
-                f"no closed form for BVP2 with a {w.kind} weight",
-                suggestion="cw_via_regression (quadrature covariances) or empirical_cw",
-            )
-    elif isinstance(f, BVP3):
+    elif not isinstance(f, PARETO_FAMILIES):
+        raise DomainError(f"unknown family {f!r}")
+    elif f.delta_x > 0.0:
         if w.kind not in ("identity", "power"):
             raise UnsupportedPairError(
                 f"no closed form for BVP3 with a {w.kind} weight",
@@ -489,7 +473,15 @@ def closed_cw(f: BivariateFamily, w: WeightFunction) -> CorrelationReport:
             )
         value, detail = _bvp3_closed(f, w.gamma)
     else:
-        raise DomainError(f"unknown family {f!r}")
+        value = _pareto_slope(f)
+        if f.delta_y > 0.0:
+            k_x, k_y = _pareto_factor(f.delta, w), _pareto_factor(f.delta_y_star, w)
+            if k_x is None:
+                raise UnsupportedPairError(
+                    f"no closed form for BVP2 with a {w.kind} weight",
+                    suggestion="cw_via_regression (quadrature covariances) or empirical_cw",
+                )
+            value = value * k_y / k_x
     return CorrelationReport(float(value), "closed_form", None, w.describe(), detail)
 
 

@@ -29,11 +29,7 @@ import numpy as np
 from . import gini as _gini
 from ._csvrows import read_numeric_csv
 from .distributions import PairedSample, margins, regression_line
-from .errors import (
-    DegenerateSampleError,
-    DomainError,
-    UnsupportedPairError,
-)
+from .errors import DegenerateSampleError, DomainError
 from .weights import WeightFunction
 
 ORIENTATIONS = ("survival", "risk_loading")
@@ -162,13 +158,14 @@ def gini_wipm_rhs(f_or_s, w: WeightFunction) -> PremiumResult:
     E[X] + C_w[X,Y] (Cov[X, w(1-F_X)] / Cov[Y, w(1-F_Y)]) (pi_{G,w}[Y] - E[Y]),
     valid when E[X | Y] is linear.  Accepts a parametric family (closed
     components, method "closed_identity") or a paired sample (rank plug-ins
-    throughout, method "empirical").  The assembled loading slope
-    C_w * Cov_X / Cov_Y equals the regression slope beta; for the normal
-    family that is rho sqrt(Var X / Var Y), for the elliptical-t family
-    sigma_xy / sigma_y^2, both recorded in the detail map.  The family
-    route also records the summed quadrature error estimates (quad_error)
-    and evaluations (quad_nfev) of the margin covariances, and raises
-    DegenerateSampleError for a constant weight.
+    throughout, method "empirical").  The loading slope C_w * Cov_X / Cov_Y
+    equals the regression slope beta; the family route takes C_w as
+    beta Cov_Y / Cov_X, so its slope is beta itself: rho sqrt(Var X / Var Y)
+    for the normal family, sigma_xy / sigma_y^2 for the elliptical-t family,
+    recorded in the detail map.  The family route also records the summed
+    quadrature error estimates (quad_error) and evaluations (quad_nfev) of
+    the margin covariances, and raises DegenerateSampleError for a constant
+    weight.
     """
     if isinstance(f_or_s, PairedSample):
         s = f_or_s
@@ -191,13 +188,10 @@ def gini_wipm_rhs(f_or_s, w: WeightFunction) -> PremiumResult:
     line = regression_line(f)  # rejects BVP3 and infinite-mean regimes
     mx, my = margins(f)
     cov_x, cov_y, diag = _gini._margin_covs(f, w)
-    try:
-        cw = _gini.closed_cw(f, w).value
-    except UnsupportedPairError:
-        cw = line.beta * cov_y / cov_x  # the regression route, as cw_via_regression
+    cw = line.beta * cov_y / cov_x  # the regression route, as cw_via_regression
     pi_y = my.mean() + cov_y / w.mean_on_unit()  # margin_gini_premium of Y
     ex, ey = mx.mean(), my.mean()
-    slope = cw * cov_x / cov_y
+    slope = line.beta  # C_w Cov_X / Cov_Y
     return PremiumResult(ex + slope * (pi_y - ey), ex, "closed_identity",
                          {"cw": cw, "slope": slope, "pi_y": pi_y,
                           "regression_beta": line.beta, **diag})

@@ -540,6 +540,11 @@ class TestPrice:
         assert code == 2
 
 
+def _factor_fault(kinds):
+    """A _pareto_factor 0.1% off for the weight kinds given, exact for the others."""
+    return lambda orig: lambda d, w: orig(d, w) * 1.001 if w.kind in kinds else orig(d, w)
+
+
 class TestVerify:
     def test_all_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "all")
@@ -564,23 +569,27 @@ class TestVerify:
         capsys.readouterr()
         assert code == 1
 
-    @pytest.mark.parametrize("module,name,fault", [
+    @pytest.mark.parametrize("module,name,fault,also", [
         (ginicorr.gini, "regression_line",
-         lambda orig: lambda f: dataclasses.replace(orig(f), beta=orig(f).beta * 1.01)),
-        (ginicorr.gini, "_bvp2_power", lambda orig: lambda *a: orig(*a) * 1.001),
-        (ginicorr.gini, "_bvp2_beta", lambda orig: lambda *a: orig(*a) * 1.001),
+         lambda orig: lambda f: dataclasses.replace(orig(f), beta=orig(f).beta * 1.01), []),
+        (ginicorr.gini, "_pareto_factor", _factor_fault(("identity", "power")),
+         ["cov_xx_vs_quadrature"]),
+        (ginicorr.gini, "_pareto_factor", _factor_fault(("beta_cdf",)),
+         ["cov_xx_vs_quadrature"]),
         (ginicorr.gini, "_bvp3_closed",
-         lambda orig: lambda *a: (orig(*a)[0] * 1.001, orig(*a)[1])),
+         lambda orig: lambda *a: (orig(*a)[0] * 1.001, orig(*a)[1]), []),
         (ginicorr.wipm, "gini_wipm_rhs", lambda orig: lambda *a: dataclasses.replace(
-            orig(*a), premium=2.0 * orig(*a).base - orig(*a).premium)),
+            orig(*a), premium=2.0 * orig(*a).base - orig(*a).premium), []),
     ], ids=["regression_beta", "bvp2_power", "bvp2_beta", "bvp3_closed", "wipm_slope"])
     def test_injected_route_fault_fails_the_hoeffding_check(self, monkeypatch, module,
-                                                            name, fault):
+                                                            name, fault, also):
         # one perturbed route among closed_cw, cw_via_regression and the WIPM
-        # identity: the Hoeffding-oracle check must name it
+        # identity: the Hoeffding-oracle check must name it, and so must every
+        # other check that reads the perturbed function (`also`): the Pareto
+        # weight factor also makes the closed margin covariance
         monkeypatch.setattr(module, name, fault(getattr(module, name)))
         failed = [r.name for r in verify.run("gini") if not r.passed]
-        assert failed == ["routes_vs_hoeffding"]
+        assert failed == ["routes_vs_hoeffding", *also]
 
     def test_unknown_suite_exits_2(self, capsys):
         # argparse rejects the choice itself

@@ -1,6 +1,7 @@
 """Correlation-core tests: estimator identities, closed forms (the BVP3
 one over its whole domain), the regression route and lambda_w."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from ginicorr import gini
+from ginicorr.cli import main
 from ginicorr.distributions import (
     BVP1,
     BVP2,
@@ -18,6 +20,9 @@ from ginicorr.distributions import (
     Normal,
     PairedSample,
     ParetoIIMargin,
+    margins,
+    pearson_closed_form,
+    regression_line,
     sample,
 )
 from ginicorr.errors import (
@@ -42,7 +47,7 @@ from ginicorr.gini import (
 from ginicorr.oracle import hoeffding_cw, mc_reference, quad_cov_margin
 from ginicorr.specfun import SERIES_TERM_CAP
 from ginicorr.weights import WeightFunction
-from ginicorr.wipm import gini_premium, gini_wipm_rhs
+from ginicorr.wipm import gini_premium, gini_wipm_rhs, margin_gini_premium
 
 W_ID = WeightFunction.identity()
 W_POW2 = WeightFunction.power(2.0)
@@ -677,6 +682,81 @@ class TestClosedCw:
             worst_terms = max(worst_terms, detail["series_terms"])
         # four series together, against the cap on each one
         assert worst_terms < SERIES_TERM_CAP // 5
+
+
+class TestFamilyBoundaries:
+    """The limits that let one formula serve neighbouring families.
+
+    closed_cw sums BVP3's 3F2 series only for delta_x > 0 and takes BVP2's
+    algebraic form at delta_x = 0; BVP1 is BVP2's formulas at delta_y = 0.
+    Each pair must meet as the index that tells them apart vanishes.
+    """
+
+    @given(delta=st.floats(1.01, 50.0), dy=st.floats(0.01, 10.0),
+           gamma=st.floats(0.03, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_bvp3_meets_bvp2_as_delta_x_vanishes(self, delta, dy, gamma):
+        # the BVP3 form cancels to about 6.4e-13/gamma (ROADMAP item 6)
+        w = WeightFunction.power(gamma)
+        got = closed_cw(BVP3(delta=delta, delta_x=1e-12, delta_y=dy), w).value
+        want = closed_cw(BVP2(delta=delta, delta_y=dy), w).value
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    @given(delta=st.floats(1.01, 50.0), gamma=st.floats(0.03, 10.0),
+           a=st.floats(0.1, 10.0), b=st.floats(0.1, 10.0),
+           mu=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+           sigma=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)))
+    @settings(max_examples=60, deadline=None)
+    def test_bvp2_meets_bvp1_as_delta_y_vanishes(self, delta, gamma, a, b, mu, sigma):
+        loc = dict(mu_x=mu[0], mu_y=mu[1], sigma_x=sigma[0], sigma_y=sigma[1], delta=delta)
+        f2, f1 = BVP2(delta_y=1e-12, **loc), BVP1(**loc)
+        for w in (WeightFunction.power(gamma), WeightFunction.beta_cdf(a, b)):
+            assert closed_cw(f2, w).value == pytest.approx(1.0 / delta, rel=1e-9, abs=0.0)
+            assert closed_cw(f1, w).value == 1.0 / delta
+        line2, line1 = regression_line(f2), regression_line(f1)
+        assert line2.beta == pytest.approx(line1.beta, rel=1e-9, abs=0.0)
+        # alpha = mu_x + (sigma_x/delta)(1 - mu_y/sigma_y) may cancel
+        scale = abs(mu[0]) + sigma[0] / delta * (1.0 + abs(mu[1]) / sigma[1])
+        assert line2.alpha == pytest.approx(line1.alpha, rel=0.0, abs=1e-9 * scale)
+        if delta >= 2.01:
+            assert pearson_closed_form(f1) == 1.0 / delta
+            assert pearson_closed_form(f2) == pytest.approx(1.0 / delta, rel=1e-9, abs=0.0)
+
+
+# tail index of the X margin at most 1: BVP1 and BVP2 through delta, BVP3
+# through delta + delta_x
+INFINITE_X_MEAN = [BVP1(delta=1.0), BVP1(delta=0.4), BVP2(delta=1.0, delta_y=0.3),
+                   BVP2(delta=0.7, delta_y=2.5), BVP3(delta=0.5, delta_x=0.5, delta_y=1.0),
+                   BVP3(delta=0.2, delta_x=0.3, delta_y=0.05)]
+
+
+class TestFiniteMeanCheck:
+    """Every route over the X margin raises MomentError where E[X] is infinite.
+
+    One check, ParetoIIMargin.mean(), serves them all.
+    """
+
+    @pytest.mark.parametrize("f", INFINITE_X_MEAN, ids=lambda f: f.describe())
+    def test_routes_raise_moment_error(self, f):
+        w = WeightFunction.power(1.5)
+        mx = margins(f)[0]
+        routes = [lambda: closed_cw(f, w), lambda: hoeffding_cw(f, w),
+                  lambda: cov_x_weighted(mx, w), lambda: quad_cov_margin(mx, w),
+                  lambda: lambda_w_margin(mx, w), lambda: margin_gini_premium(mx, w)]
+        if not isinstance(f, BVP3):  # BVP3 has no regression line to begin with
+            routes += [lambda: regression_line(f), lambda: cw_via_regression(f, w),
+                       lambda: gini_wipm_rhs(f, w)]
+        for route in routes:
+            with pytest.raises(MomentError):
+                route()
+
+    @pytest.mark.parametrize("f", INFINITE_X_MEAN, ids=lambda f: f.describe())
+    def test_cli_closed_exits_2(self, f, capsys):
+        argv = ["corr", "--family", f.name, "--weight", "power:1.5", "--method", "closed"]
+        for fl in dataclasses.fields(f)[4:]:  # delta and the family's own indices
+            argv += [f"--{fl.name.replace('_', '-')}", repr(getattr(f, fl.name))]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestRegressionRoute:

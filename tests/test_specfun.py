@@ -51,8 +51,10 @@ def direct_series(upper, lower, z, n_terms=2_000_000):
 
 def _mp_unit_3f2(upper, lower):
     """3F2(upper; lower; 1) in mpmath.  mpmath.hyp3f2 1.3.0 goes wrong past
-    margin ~16, so past margin 8 the series is summed by mpmath.nsum."""
-    if sum(lower) - sum(upper) <= 8.0:
+    margin ~16, and at 20 working digits already from margin ~4 (see
+    mp_unit_hyp), so past margin 5 the series is summed by mpmath.nsum,
+    which was within 1e-21 there in spot checks but 6e-7 off at margin 3."""
+    if sum(lower) - sum(upper) <= 5.0:
         return mp.hyp3f2(*upper, *lower, 1)
     (a, b, c), (d, e) = upper, lower
     return mp.nsum(lambda j: mp.rf(a, j) * mp.rf(b, j) * mp.rf(c, j)
@@ -60,14 +62,18 @@ def _mp_unit_3f2(upper, lower):
 
 
 def mp_unit_hyp(upper, lower):
-    """(q+1)F(q)(upper; lower; 1) to 20 digits, for q = 1 or 2.
+    """(q+1)F(q)(upper; lower; 1) at 30 working digits, for q = 1 or 2.
 
     mpmath's own z = 1 summation of a 3F2 fails to converge at margins near
     0.05, so a 3F2 with an upper parameter a, h < a < min(lower), is first
     taken through Thomae's transformation (DLMF 16.4.11) on the largest such
-    a, which makes its margin a.
+    a, which makes its margin a.  At 20 working digits mpmath.hyp3f2 1.3.0
+    is off by up to 1.8e-10 at margins 4-10 with parameters near 10
+    (3F2(9.92, 4.33, 5; 6.49, 19.44; 1) = 15.7965284398 comes back as
+    15.7965283068), in 21 of 117 random draws of test_matches_mpmath's
+    domain; at 30 digits it agreed with 45 digits to 1e-14 in all 117.
     """
-    with mp.workdps(20):
+    with mp.workdps(30):
         upper, lower = [mp.mpf(a) for a in upper], [mp.mpf(b) for b in lower]
         if len(upper) == 2:
             return mp.hyp2f1(*upper, *lower, 1)
@@ -311,13 +317,16 @@ class TestHypPfq:
     @example(h=1.0, upper=(2.0, 4.0, 1.0), pivot=0, split=0.5, q=1)
     @example(h=0.05, upper=(4.94, 7.24, 4.94), pivot=0, split=0.05, q=2)
     @example(h=9.5, upper=(3.0, 2.0, 1.0), pivot=2, split=0.5, q=2)
+    @example(h=6.6796875, upper=(9.921875, 4.33203125, 5.0), pivot=1, split=0.125, q=2)
     @settings(max_examples=15, deadline=None)
     def test_matches_mpmath(self, h, upper, pivot, split, q):
         # 2F1(a, b; a+b+h) and 3F2 whose lower parameters both exceed
         # upper[pivot], so that it can serve as the Thomae pivot.  The
         # examples: 2F1(2, 4; 7; 1) = 15, where a tail of two terms stops
         # 1.5e-12 short; a Thomae sum at margin 0.05; a direct 3F2 at
-        # margin 9.5, past mpmath.hyp3f2's range.  A 2F1, and a 3F2 that no
+        # margin 9.5, past mpmath.hyp3f2's range; a direct 3F2 at margin
+        # 6.7 that mpmath.hyp3f2 at 20 digits puts 8.4e-9 off (see
+        # mp_unit_hyp).  A 2F1, and a 3F2 that no
         # pivot serves, are summed as written, and below margin 0.6 with
         # parameters near 10 those need more than SERIES_TERM_CAP terms.
         if q == 1:
