@@ -331,13 +331,13 @@ def lambda_w_margin(margin, w: WeightFunction) -> float:
     """Population lambda_w = Cov[X, w(F_X)] / -Cov[X, w(1 - F_X)] of a parametric margin.
 
     By quadrature: int L(1 - v) dw / int L(v) dw of its Lorenz gap L over one
-    measure (oracle._gap_cov), carrying both quadratures' `nfev`, summed,
-    and `error`, propagated.
+    measure, both in one call (oracle._gap_covs), carrying both
+    quadratures' `nfev`, summed, and `error`, propagated.
     """
-    cov_sf = _oracle._gap_cov(margin, w)
+    cov_sf, cov_f = _oracle._gap_covs(w, (margin, False), (margin, True))
     if cov_sf == 0.0:
         raise DegenerateSampleError("lambda_w undefined: constant weight")
-    return _oracle._ratio(_oracle._gap_cov(margin, w, swap=True), cov_sf)
+    return _oracle._ratio(cov_f, cov_sf)
 
 
 def lambda_w(x, w: WeightFunction) -> float:
@@ -370,12 +370,18 @@ def cov_x_weighted(m, w: WeightFunction) -> float:
     oracle.quad_cov_margin's value, which carries its quadrature error and
     evaluations.  Negative for any non-constant admissible weight.
     """
+    cov = _closed_cov(m, w)
+    return _oracle.quad_cov_margin(m, w) if cov is None else cov
+
+
+def _closed_cov(m, w: WeightFunction) -> float | None:
+    """cov_x_weighted's closed form, or None where it takes quadrature."""
     if isinstance(m, ParetoIIMargin):
         m.mean()  # raises MomentError where the mean is infinite
         k = _pareto_factor(m.delta, w)
         if k is not None:
             return _Diagnosed(m.sigma * k, error=0.0, nfev=0)
-    return _oracle.quad_cov_margin(m, w)
+    return None
 
 
 def _pareto_factor(d: float, w: WeightFunction) -> float | None:
@@ -400,9 +406,15 @@ def _pareto_factor(d: float, w: WeightFunction) -> float | None:
 def _margin_covs(f: BivariateFamily, w: WeightFunction):
     """(Cov[X, w(1-F_X)], Cov[Y, w(1-F_Y)], quadrature diagnostics) of f's margins.
 
-    A constant weight has no C_w: it raises DegenerateSampleError.
+    Each is cov_x_weighted's value; the margins that take quadrature are
+    integrated in one call (oracle._gap_covs).  A constant weight has no
+    C_w: it raises DegenerateSampleError.
     """
-    cov_x, cov_y = (cov_x_weighted(m, w) for m in margins(f))
+    ms = margins(f)
+    covs = [_closed_cov(m, w) for m in ms]
+    todo = [(m, False) for m, c in zip(ms, covs) if c is None]
+    quad = iter(_oracle._gap_covs(w, *todo) if todo else ())
+    cov_x, cov_y = (next(quad) if c is None else c for c in covs)
     if cov_x == 0.0 or cov_y == 0.0:
         raise DegenerateSampleError("C_w undefined: constant weight")
     return cov_x, cov_y, {"quad_error": cov_x.error + cov_y.error,

@@ -56,8 +56,10 @@ _H0 = math.asinh(math.log(2.0 / (4.0 * np.finfo(float).tiny) - 1.0) / math.pi) /
 
 @functools.cache
 def _nodes(first, last):
-    """Abscissae in (0, 1) and weights of levels first to last, the upper half in row 0.
+    """Abscissae x in (0, 1), weights, mask of zero weights and x, -x of levels first to last.
 
+    The upper half is in row 0, and the last array holds x there and -x in
+    row 1, so that its largest entry in a row is the node nearest that end.
     Level k steps h = _H0 / 2^k to j h, j = 0 to 8 2^k, odd j only for k > 0;
     with u = pi/2 sinh(j h) its complement 1 - x = 1 / (e^u cosh u) and
     weight pi/2 cosh(j h) / cosh(u)^2 on [-1, 1], halved at x = 0, which is
@@ -76,8 +78,10 @@ def _nodes(first, last):
     xc, w = np.concatenate(xc), 0.5 * np.concatenate(w)
     x, w = np.stack((1.0 - 0.5 * xc, 0.5 * xc)), np.stack((w, w))
     w[(x <= 0.0) | (x >= 1.0)] = 0.0
-    x.flags.writeable = w.flags.writeable = False  # shared by every call
-    return x, w
+    nodes = x, w, w == 0.0, x * [[1.0], [-1.0]]
+    for a in nodes:
+        a.flags.writeable = False  # shared by every call
+    return nodes
 
 
 def _tanhsinh(f, hi, args=(), *, rtol, atol=np.finfo(float).tiny):
@@ -113,19 +117,18 @@ def _tanhsinh(f, hi, args=(), *, rtol, atol=np.finfo(float).tiny):
         for level in range(first, _MAX_LEVEL + 1):
             if not todo.size:
                 break
-            x, w = _nodes(0 if level == first else level, level)
+            x, w, zero, signed_x = _nodes(0 if level == first else level, level)
             h, n = _H0 / 2**level, todo.size
             fx = (f(hi * x.ravel(), *args) * hi).reshape(n, 2, -1)
             nfev += x.size
             # the valid node nearest each end, over every level so far
-            bad = ~np.isfinite(fx) | (w == 0.0)
-            signed = np.where(bad, -np.inf, x * [[1.0], [-1.0]])
-            i = signed.argmax(axis=-1)[..., None]
-            near = np.take_along_axis(signed, i, -1)[..., 0]
+            bad = ~np.isfinite(fx) | zero
+            signed = np.where(bad, -np.inf, signed_x)
+            i, near = signed.argmax(axis=-1), signed.max(axis=-1)
             new = near > edge
             edge = np.where(new, near, edge)
-            f_edge = np.where(new, np.take_along_axis(fx, i, -1)[..., 0], f_edge)
-            w_edge = np.where(new, w[[0, 1], i[..., 0]], w_edge)
+            f_edge = np.where(new, fx[np.arange(n)[:, None], [0, 1], i], f_edge)
+            w_edge = np.where(new, w[[0, 1], i], w_edge)
             fw = np.where(bad, f_edge[..., None], fx) * w
             s = fw.reshape(n, -1).sum(axis=-1) * h
             if level == first:
@@ -137,12 +140,15 @@ def _tanhsinh(f, hi, args=(), *, rtol, atol=np.finfo(float).tiny):
                 s += prev[-1] / 2
             d1, d2 = np.abs(s - prev[-1]), np.abs(s - prev[-2])
             d = np.where(d1 > 0, d1 ** (np.log(d1) / np.log(d2)), 0)
-            d = np.max([d, d1**2, eps * np.abs(fw).max(axis=(1, 2)),
-                        np.abs(f_edge * w_edge).max(axis=-1)], axis=0)
-            error = np.clip(d, eps * np.abs(s), d1)
-            ok = (error / np.abs(s) < rtol) | (error < atol)
-            stop = ok | ~np.isfinite(s) | (level == _MAX_LEVEL)
-            status = np.where(ok, 0, np.where(np.isfinite(s), -2, -3))
+            d = np.maximum(np.maximum(d, d1**2), np.maximum(eps * np.abs(fw).max(axis=(1, 2)),
+                                                            np.abs(f_edge * w_edge).max(axis=-1)))
+            error = np.minimum(np.maximum(d, eps * np.abs(s)), d1)  # clip(d, eps |s|, d1)
+            ok, finite = (error / np.abs(s) < rtol) | (error < atol), np.isfinite(s)
+            stop = ok | ~finite | (level == _MAX_LEVEL)
+            status = np.where(ok, 0, np.where(finite, -2, -3))
+            if stop.all():
+                out[:3, todo], out[3, todo] = (s, error, status), nfev
+                break
             out[:, todo[stop]] = np.stack((s, error, status, np.full(n, nfev)))[:, stop]
             keep = ~stop
             todo, hi, args = todo[keep], hi[keep], [a[keep] for a in args]
@@ -151,9 +157,12 @@ def _tanhsinh(f, hi, args=(), *, rtol, atol=np.finfo(float).tiny):
     return out
 
 
-def _against_dw(g, w: WeightFunction, ends, **tol):
-    """int_0^1 g(v) dw(v) over the pieces of w's measure: (integral, error, status, nfev).
+def _against_dw(w: WeightFunction, parts, **tol):
+    """int_0^1 g(v) dw(v) for each (g, ends) of parts, over the pieces of w's measure.
 
+    Returns one (integral, error, status, nfev) per part, each an array over
+    that part's pieces; the pieces of every part are the intervals of one
+    _tanhsinh call, and each g sees only its own part's intervals.
     g(log_v, log_u, dw) returns g at v from log v and log u = log(1 - v),
     each formed where it is accurate; dw is the density of the measure
     there, for a cut-off.  g ~ v^e0 as v -> 0 and (1 - v)^e1 as v -> 1,
@@ -169,6 +178,39 @@ def _against_dw(g, w: WeightFunction, ends, **tol):
     so it does not underflow, and the power of z is taken whole, since
     those of v and dv/dz cancel.
     """
+    pieces, bounds = [], [0]                                # part k: bounds[k] to bounds[k + 1]
+    for k, (_, ends) in enumerate(parts):
+        pieces += [(k, *piece) for piece in _pieces(w, ends)]
+        bounds.append(len(pieces))
+    gs = [g for g, _ in parts]
+
+    def integrand(r, part, c, l0, log_c, p, e_z, e_far, from_v):
+        lz = np.log(c + (1.0 - c) * r)
+        end = np.minimum(l0 + lz / p, 0.0)                  # log of x = v, u, 1 - v or 1 - u
+        # log(1 - x), each side of x = 1/2 formed where it is exact
+        far = np.where(end < -math.log(2.0), np.log1p(-np.exp(end)), np.log(-np.expm1(end)))
+        dw = np.exp(log_c + e_z * lz + e_far * far)
+        log_v, log_u = np.where(from_v, end, far), np.where(from_v, far, end)
+        # the open intervals of part k are rows lo[k]:lo[k + 1], in part order
+        lo, value = np.searchsorted(part[:, 0], np.arange(len(gs) + 1)), np.empty_like(dw)
+        for k, g in enumerate(gs):
+            if lo[k] < lo[k + 1]:
+                rows = slice(lo[k], lo[k + 1])
+                value[rows] = g(log_v[rows], log_u[rows], dw[rows])
+        return value * dw
+
+    out = _tanhsinh(integrand, np.ones(len(pieces)), args=tuple(map(np.array, zip(*pieces))),
+                    **tol)
+    return [out[:, i:j] for i, j in zip(bounds, bounds[1:])]
+
+
+def _pieces(w: WeightFunction, ends):
+    """The pieces of w's measure against a g with end exponents ends (see _against_dw).
+
+    One (c, l0, log_c, p, e_z, e_far, from_v) per piece: z runs over [c, 1],
+    x = exp(l0 + log z / p) is v if from_v else 1 - v, and dw dv/dz =
+    exp(log_c) z^e_z (1 - x)^e_far.
+    """
     if w.kind == "table":
         rise = np.diff(w.knots_w)
         up = rise > 0.0
@@ -176,69 +218,64 @@ def _against_dw(g, w: WeightFunction, ends, **tol):
         from_v = t0 + t1 <= 1.0                             # else from 1 - v
         l0 = np.where(from_v, np.log(t1), np.log1p(-t0))
         c = np.where(from_v, t0 / t1, (1.0 - t1) / (1.0 - t0))
-        p, e_z, e_far = np.ones_like(c), np.zeros_like(c), np.zeros_like(c)
-    else:
-        a, b = (w.a, w.b) if w.kind == "beta_cdf" else (w.gamma, 1.0)
-        top, log_b = (0.5 if b < 1.0 else 1.0), ln_beta(a, b)  # v or u atop each piece
-        pieces = []                                         # (c, l0, log_c, p, e_z, e_far, from_v)
-        for flip in range(1 + (b < 1.0)):                   # in v, then in u = 1 - v
-            ka, kb = (b, a) if flip else (a, b)             # the density's powers of x, 1 - x
-            al = ka + ends[flip]
-            # (1 - x)^(kb - 1) is at most quadratic for kb <= 3: no cliff to split at
-            m = min(top, (al + 1.0) / (al + kb)) if kb > 3.0 else top
-            p, l0 = al / (1.0 + min(al, 1.0)), math.log(m)
-            pieces.append((0.0, l0, ka * l0 - math.log(p) - log_b, p, ka / p - 1.0, kb - 1.0,
-                           not flip))
-            if m < top:
-                p, l0 = kb / 2.0, math.log1p(-m)
-                c = ((1.0 - top) / (1.0 - m)) ** p
-                pieces.append((c, l0, kb * l0 + math.log1p(-c) - math.log(p) - log_b, p, 1.0,
-                               ka - 1.0, bool(flip)))
-        c, l0, log_c, p, e_z, e_far, from_v = map(np.array, zip(*pieces))
-
-    def integrand(r, c, l0, log_c, p, e_z, e_far, from_v):
-        lz = np.log(c + (1.0 - c) * r)
-        end = np.minimum(l0 + lz / p, 0.0)                  # log of x = v, u, 1 - v or 1 - u
-        # log(1 - x), each side of x = 1/2 formed where it is exact
-        far = np.where(end < -math.log(2.0), np.log1p(-np.exp(end)), np.log(-np.expm1(end)))
-        dw = np.exp(log_c + e_z * lz + e_far * far)
-        return g(np.where(from_v, end, far), np.where(from_v, far, end), dw) * dw
-
-    return _tanhsinh(integrand, np.ones_like(c), args=(c, l0, log_c, p, e_z, e_far, from_v),
-                     **tol)
+        return list(zip(c, l0, log_c, [1.0] * c.size, [0.0] * c.size, [0.0] * c.size, from_v))
+    a, b = (w.a, w.b) if w.kind == "beta_cdf" else (w.gamma, 1.0)
+    top, log_b = (0.5 if b < 1.0 else 1.0), ln_beta(a, b)  # v or u atop each piece
+    pieces = []
+    for flip in range(1 + (b < 1.0)):                       # in v, then in u = 1 - v
+        ka, kb = (b, a) if flip else (a, b)                 # the density's powers of x, 1 - x
+        al = ka + ends[flip]
+        # (1 - x)^(kb - 1) is at most quadratic for kb <= 3: no cliff to split at
+        m = min(top, (al + 1.0) / (al + kb)) if kb > 3.0 else top
+        p, l0 = al / (1.0 + min(al, 1.0)), math.log(m)
+        pieces.append((0.0, l0, ka * l0 - math.log(p) - log_b, p, ka / p - 1.0, kb - 1.0,
+                       not flip))
+        if m < top:
+            p, l0 = kb / 2.0, math.log1p(-m)
+            c = ((1.0 - top) / (1.0 - m)) ** p
+            pieces.append((c, l0, kb * l0 + math.log1p(-c) - math.log(p) - log_b, p, 1.0,
+                           ka - 1.0, bool(flip)))
+    return pieces
 
 
-def _gap_cov(margin, w: WeightFunction, swap: bool = False) -> float:
-    """-int_0^1 L dw = Cov[X, w(1 - F_X(X))], or if swap -int L(1 - v) dw = -Cov[X, w(F_X(X))].
+def _gap_covs(w: WeightFunction, *pairs) -> list:
+    """One gap covariance per (margin, swap) of pairs, all from one tanh-sinh call.
 
-    `margin` is a ParetoIIMargin, NormalMargin or StudentTMargin with a
-    finite mean (else MomentError).  In v = 1 - F_X(x) the covariance is
-    int_0^1 (Q(1 - v) - E[X]) w(v) dv, and by parts -int L dw with the
+    Each is -int_0^1 L dw = Cov[X, w(1 - F_X(X))], or if swap
+    -int L(1 - v) dw = -Cov[X, w(F_X(X))].  Every margin is a
+    ParetoIIMargin, NormalMargin or StudentTMargin with a finite mean (else
+    MomentError, before any quadrature).  In v = 1 - F_X(x) the covariance
+    is int_0^1 (Q(1 - v) - E[X]) w(v) dv, and by parts -int L dw with the
     margin's Lorenz gap L(v) = int_0^v (Q(1 - u) - E[X]) du, which is in
     closed form (`lorenz_gap`), not negative, and 0 at v = 0 and 1.  With
     no cancellation in the integrand the tolerance is QUAD_REL_TOL alone,
     on each piece of w's measure (see _against_dw), whatever the scale of
-    the covariance.  The float returned also carries the quadrature's
-    error estimate (`error`) and its evaluations (`nfev`); a non-zero
-    status raises QuadratureError.
+    the covariance.  Each float returned also carries its quadrature's
+    error estimate (`error`) and evaluations (`nfev`), which are those of
+    the pair integrated alone.  A non-zero status raises QuadratureError
+    for the first pair that has one, named by its place in pairs.
     """
-    margin.mean()  # raises MomentError where the mean is infinite
-    value, error, status, nfev = _against_dw(
-        lambda lv, lu, dw: margin.lorenz_gap(*((lu, lv) if swap else (lv, lu))),
-        w, margin.gap_ends[::-1] if swap else margin.gap_ends, rtol=QUAD_REL_TOL)
-    value, error, nfev = -float(value.sum()), float(error.sum()), int(nfev.sum())
-    if np.any(status != 0):
-        raise QuadratureError(
-            f"tanh-sinh covariance quadrature did not converge (status "
-            f"{status.astype(int).tolist()}, {nfev} evaluations)",
-            estimate=value, error_estimate=error,
-        )
-    return _Diagnosed(value, error=error, nfev=nfev)
+    for margin, _ in pairs:
+        margin.mean()  # raises MomentError where the mean is infinite
+    parts = [(lambda lv, lu, dw, m=m, swap=swap: m.lorenz_gap(*((lu, lv) if swap else (lv, lu))),
+              m.gap_ends[::-1] if swap else m.gap_ends) for m, swap in pairs]
+    covs = []
+    for i, (value, error, status, nfev) in enumerate(_against_dw(w, parts, rtol=QUAD_REL_TOL)):
+        value, error, nfev = -float(value.sum()), float(error.sum()), int(nfev.sum())
+        if np.any(status != 0):
+            raise QuadratureError(
+                f"tanh-sinh covariance quadrature of pair {i} ({pairs[i][0]!r}, swap="
+                f"{pairs[i][1]}) did not converge (status {status.astype(int).tolist()}, "
+                f"{nfev} evaluations)",
+                estimate=value, error_estimate=error,
+            )
+        covs.append(_Diagnosed(value, error=error, nfev=nfev))
+    return covs
 
 
 def quad_cov_margin(margin, w: WeightFunction) -> float:
-    """Cov[X, w(1 - F_X(X))] = -int_0^1 L(v) dw(v) by tanh-sinh quadrature (see _gap_cov)."""
-    return _gap_cov(margin, w)
+    """Cov[X, w(1 - F_X(X))] = -int_0^1 L(v) dw(v) by tanh-sinh quadrature (see _gap_covs)."""
+    return _gap_covs(w, (margin, False))[0]
 
 
 def _ratio(num: float, den: float) -> float:
@@ -323,8 +360,9 @@ def hoeffding_cw(f: BivariateFamily, w: WeightFunction) -> float:
         value[live] = part.reshape(2, -1).sum(axis=0)
         return value
 
-    value, error, status, nfev = _against_dw(inner, w, mx.gap_ends, rtol=QUAD_REL_TOL * 1e-2,
-                                             atol=QUAD_REL_TOL * 1e-2 * -cov_den)
+    (value, error, status, nfev), = _against_dw(w, [(inner, mx.gap_ends)],
+                                                rtol=QUAD_REL_TOL * 1e-2,
+                                                atol=QUAD_REL_TOL * 1e-2 * -cov_den)
     cov_num = -float(value.sum())
     error = float(error.sum()) + inner_error
     if np.any(status != 0) or inner_fails:

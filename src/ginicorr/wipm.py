@@ -193,8 +193,7 @@ def gini_wipm_rhs(f_or_s, w: WeightFunction) -> PremiumResult:
     ex, ey = mx.mean(), my.mean()
     slope = line.beta  # C_w Cov_X / Cov_Y
     return PremiumResult(ex + slope * (pi_y - ey), ex, "closed_identity",
-                         {"cw": cw, "slope": slope, "pi_y": pi_y,
-                          "regression_beta": line.beta, **diag})
+                         {"cw": cw, "slope": slope, "pi_y": pi_y, **diag})
 
 
 def classical_wipm_rhs(s: PairedSample, v_of_y) -> PremiumResult:

@@ -25,7 +25,7 @@ from ginicorr.errors import DegenerateSampleError, DomainError, MomentError, Qua
 from ginicorr.gini import closed_cw, cov_x_weighted, cw_via_regression, lambda_w_margin
 from ginicorr.oracle import (
     QUAD_REL_TOL,
-    _gap_cov,
+    _gap_covs,
     _tanhsinh,
     hoeffding_cw,
     mc_reference,
@@ -486,9 +486,69 @@ class TestDiagnostics:
     def test_lambda_w_margin_sums_both_quadratures(self):
         m = ParetoIIMargin(0.0, 1.0, 2.1)
         got = lambda_w_margin(m, self.W_TABLE)
-        covs = quad_cov_margin(m, self.W_TABLE), _gap_cov(m, self.W_TABLE, swap=True)
+        covs = quad_cov_margin(m, self.W_TABLE), _gap_covs(self.W_TABLE, (m, True))[0]
         assert got.nfev == covs[0].nfev + covs[1].nfev
         assert got.error >= covs[1].error / abs(covs[0])
+
+
+@st.composite
+def _gap_pairs(draw):
+    """1 to 4 (margin, swap) pairs of Pareto II, Student t and normal margins."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        mu, sigma = draw(st.floats(-10.0, 10.0)), draw(st.floats(0.1, 10.0))
+        kind = draw(st.sampled_from(["pareto", "t", "normal"]))
+        if kind == "pareto":
+            m = ParetoIIMargin(mu, sigma, draw(st.floats(1.01, 50.0)))
+        elif kind == "t":
+            m = StudentTMargin(mu, sigma, draw(st.floats(1.2, 30.0)))
+        else:
+            m = NormalMargin(mu, sigma)
+        pairs.append((m, draw(st.booleans())))
+    return pairs
+
+
+class TestBatchedGapCovs:
+    """One _gap_covs call gives each pair what it gives alone, bit for bit."""
+
+    @staticmethod
+    def _bits(cov):
+        return cov.hex(), cov.error.hex(), cov.nfev
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=_gap_pairs(), w=_weights())
+    def test_batch_equals_one_at_a_time(self, pairs, w):
+        alone = []
+        for i, pair in enumerate(pairs):
+            try:
+                alone.append(self._bits(_gap_covs(w, pair)[0]))
+            except QuadratureError as exc:
+                # the batch raises for the first pair that fails alone
+                with pytest.raises(QuadratureError, match=f"of pair {i} ") as info:
+                    _gap_covs(w, *pairs)
+                assert info.value.estimate == exc.estimate
+                return
+        assert [self._bits(c) for c in _gap_covs(w, *pairs)] == alone
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_the_error_names_the_pair_that_failed(self, monkeypatch, failing):
+        import ginicorr.oracle
+
+        # at these settings the Pareto(1.5) integral stalls, the Pareto(5) one ends
+        monkeypatch.setattr(ginicorr.oracle, "_MAX_LEVEL", 2)
+        monkeypatch.setattr(ginicorr.oracle, "QUAD_REL_TOL", 1e-12)
+        w, bad, good = WeightFunction.power(1.0), ParetoIIMargin(0.0, 1.0, 1.5), \
+            ParetoIIMargin(0.0, 1.0, 5.0)
+        with pytest.raises(QuadratureError) as alone:
+            _gap_covs(w, (bad, False))
+        pairs = [(good, False)]
+        pairs.insert(failing, (bad, False))
+        with pytest.raises(QuadratureError, match=f"of pair {failing} \\(ParetoIIMargin") as info:
+            _gap_covs(w, *pairs)
+        assert "delta=1.5" in str(info.value)
+        assert (info.value.estimate, info.value.error_estimate) == (
+            alone.value.estimate, alone.value.error_estimate)
+        assert info.value.estimate < 0.0
 
 
 class TestTailIndexNearOne:
@@ -652,6 +712,13 @@ class TestTanhSinhKernel:
             [1.0, 1.0, 0.5], ([1.0, 0.0, 1.0],)),
         "tiny_integral": (lambda x, c: c * x * x, [1.0, 1.0], ([3e-300, 1e-305],)),
         "hi_zero": (lambda x, c: c * np.sin(x), [0.0, 1.0, 0.0, 2.0], ([1.0, 2.0, 3.0, 4.0],)),
+        # one call whose intervals stop at levels 3, 4 and 5 or later, with nan
+        # within 1e-200 of 0 and 1e-12 of 1 in the rows with k = 1 only
+        "mixed_levels": (
+            lambda x, b, k: np.where((k > 0.0) & ((x < 1e-200) | (x > 1.0 - 1e-12)), np.nan,
+                                     np.cos(b * x)),
+            [1.0, 1.0, 1.0, 1.0, 0.5, 1.0, 1.0],
+            ([1.0, 1.0, 20.0, 20.0, 100.0, 50.0, 120.0], [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0])),
     }
 
     @staticmethod
