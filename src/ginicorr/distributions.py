@@ -361,7 +361,20 @@ BivariateFamily = Union[Normal, EllipticalT, BVP1, BVP2, BVP3]
 
 
 def margins(f: BivariateFamily):
-    """Marginal laws (x_margin, y_margin) of the family."""
+    """Marginal laws (x_margin, y_margin) of the family.
+
+    The pair is built on the first call and kept on the instance, outside
+    its fields, so equality, hashing and repr do not see it; a family is
+    frozen, so its margins cannot go stale.
+    """
+    pair = getattr(f, "_margins", None)
+    if pair is None:
+        pair = _margin_pair(f)
+        object.__setattr__(f, "_margins", pair)
+    return pair
+
+
+def _margin_pair(f: BivariateFamily):
     if isinstance(f, Normal):
         return NormalMargin(f.mu_x, f.sigma_x), NormalMargin(f.mu_y, f.sigma_y)
     if isinstance(f, EllipticalT):

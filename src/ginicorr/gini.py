@@ -44,6 +44,7 @@ from .specfun import HypergeometricSpec, _Diagnosed, hyp_pfq, ln_beta
 from .weights import WeightFunction
 
 _DEGENERATE_REL = 1e-12
+_MAGNITUDE = 0x7FFF_FFFF_FFFF_FFFF  # a double's bits but its sign
 
 
 @dataclass(frozen=True)
@@ -64,18 +65,65 @@ class CorrelationReport:
 def _ranks(v: np.ndarray) -> np.ndarray:
     """Average ranks of v: ties share their mean rank.
 
-    One argsort.  Without ties the ranks 1..n are scattered through its
-    order; with ties each group's mean rank start + (count+1)/2 is.  A rank
-    is a half-integer, exact in floating point, so r / (n+1) matches
-    scipy's average ranks over n+1 bit for bit.
+    One in-place sort of packed int64 keys, not an argsort.  A value's
+    bits, with the sign-magnitude order turned into two's complement
+    (-0.0 made 0.0 first), keep their high part; the low (n-1).bit_length()
+    bits are replaced by the value's index, so the sorted keys' low bits
+    are a sort order.  Keys whose high parts differ are in value order.
+    Adjacent keys with equal high parts are ties or collisions (distinct
+    values equal in their high bits); their values are compared, and each
+    run of equal high parts holding an out-of-order pair is re-sorted by
+    value.  Where such pairs are near at hand (ties everywhere) the sorted
+    values are gathered once; where the runs would hold over a quarter of
+    the values, one argsort of v is cheaper and takes their place.
+
+    Without ties the ranks 1..n are scattered through the order; with ties
+    each group's mean rank start + (count+1)/2 is.  A rank is a
+    half-integer, exact in floating point, so r / (n+1) matches scipy's
+    average ranks over n+1 bit for bit.
     """
     n = v.size
-    order = np.argsort(v)
-    sv = v[order]
-    new = np.empty(n, dtype=bool)
-    new[:1] = True
-    np.not_equal(sv[1:], sv[:-1], out=new[1:])
+    low = (1 << (n - 1).bit_length()) - 1
+    k = (v + 0.0).view(np.int64)
+    k ^= (k >> 63) & _MAGNITUDE
+    k &= ~low
+    k |= np.arange(n)
+    k.sort()
     r = np.empty(n)
+    ku = k.view(np.uint64)
+    near = np.bitwise_xor(ku[1:], ku[:-1], out=r.view(np.uint64)[:-1]) <= low
+    gathered = np.count_nonzero(near) * 4 > n
+    if gathered:
+        order = k & low
+        # into r, whose xor gaps are spent; mode "clip" (the indices are in
+        # range) writes straight to it where "raise" would buffer
+        sv = np.take(v, order, out=r, mode="clip")
+        bad = np.flatnonzero(sv[1:] < sv[:-1])
+    else:
+        near = np.flatnonzero(near)
+        bad = near[v[k[near] & low] > v[k[near + 1] & low]]
+    pos = _unsorted_runs(k, bad, low) if bad.size * 4 <= n else None
+    if pos is None or pos.size * 4 > n:
+        del k, ku  # free the keys before the argsort
+        order = np.argsort(v)
+        sv = np.take(v, order, out=r, mode="clip")
+        gathered = True
+    else:
+        if not gathered:
+            order = np.bitwise_and(k, low, out=k)
+        del k, ku
+        if pos.size:
+            sub = order[pos]
+            order[pos] = sub[np.argsort(v[sub], kind="stable")]
+            if gathered:
+                sv[pos] = v[order[pos]]
+    if gathered:
+        new = np.empty(n, dtype=bool)
+        new[:1] = True
+        np.not_equal(sv[1:], sv[:-1], out=new[1:])
+    else:
+        new = np.ones(n, dtype=bool)
+        new[near[v[order[near]] == v[order[near + 1]]] + 1] = False
     if new.all():
         r[order] = np.arange(1.0, n + 1.0)
     else:
@@ -83,6 +131,17 @@ def _ranks(v: np.ndarray) -> np.ndarray:
         counts = np.diff(starts, append=n)
         r[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
     return r
+
+
+def _unsorted_runs(k: np.ndarray, bad: np.ndarray, low: int) -> np.ndarray:
+    """Positions in the sorted keys k of the runs of equal high parts that hold bad.
+
+    bad are positions whose value exceeds the next one's.  Each run is found
+    by searching k for the least and greatest key of its high part.
+    """
+    lo = np.unique(np.searchsorted(k, k[bad] & ~low))
+    lens = np.searchsorted(k, k[lo] | low, side="right") - lo
+    return np.arange(lens.sum()) + np.repeat(lo - np.cumsum(lens) + lens, lens)
 
 
 def _margin_ranks(s: PairedSample, j: int) -> np.ndarray:

@@ -232,6 +232,24 @@ def _sum_unit_argument(spec: HypergeometricSpec, representation: str) -> _Diagno
         f"representation (margin {h:.6g})")
 
 
+def _gauss_sum(spec: HypergeometricSpec) -> _Diagnosed:
+    """2F1(a, b; c; 1) as B(h, b) / B(h+a, b), Gauss's sum in beta functions.
+
+    The margin h = c - a - b is rounded once from the exact difference, not
+    from a + b: a margin far below c would otherwise lose digits that the
+    beta functions then spread over the value.  It is > 0 wherever spec.h
+    is, since a + b rounds to below c only if it is below c.
+    """
+    (a, b), (c,) = spec.upper, spec.lower
+    h = math.fsum((c, -a, -b))
+    try:
+        value = math.exp(ln_beta(h, b) - ln_beta(h + a, b))
+    except OverflowError:
+        raise ConvergenceError(
+            f"Gauss's sum overflows double precision at z=1 (margin {h:.6g})") from None
+    return _Diagnosed(value, representation="gauss", margin=h, terms=0, tail_share=0.0)
+
+
 def hyp_pfq(spec: HypergeometricSpec) -> float:
     """Sum of the generalized hypergeometric series for `spec`.
 
@@ -242,10 +260,13 @@ def hyp_pfq(spec: HypergeometricSpec) -> float:
     The float returned also carries `representation`, `margin`, `terms` and
     `tail_share`, the Euler-Maclaurin tail estimate's share of the sum.
 
-    A 2F1 is summed directly.  A 3F2 is summed in whichever representation
-    has the larger margin: directly, or by Thomae's transformation (DLMF
-    16.4.11) pivoting on an upper parameter a with a < d and a < e, the
-    lower ones,
+    A 2F1 is Gauss's sum (DLMF 15.4.20), exact with no series:
+        2F1(a, b; c; 1) = G(c) G(h) / (G(c-a) G(c-b)),
+    every argument > 0, since c - a = h + b and c - b = h + a; its
+    representation is "gauss", with 0 terms and tail share 0.  A 3F2 is
+    summed in whichever representation has the larger margin: directly, or
+    by Thomae's transformation (DLMF 16.4.11) pivoting on an upper
+    parameter a with a < d and a < e, the lower ones,
         3F2(a, b, c; d, e; 1) = G(d) G(e) G(h) / (G(a) G(h+b) G(h+c))
                                 * 3F2(d-a, e-a, h; h+b, h+c; 1),
     which turns the margin h into a and keeps every parameter > 0.  The
@@ -255,6 +276,8 @@ def hyp_pfq(spec: HypergeometricSpec) -> float:
     h = spec.h
     if h <= 0.0:
         raise ConvergenceError(f"series diverges at z=1: convergence margin h={h:.6g} <= 0")
+    if len(spec.upper) == 2:
+        return _gauss_sum(spec)
     pivots = ([a for a in spec.upper if h < a < min(spec.lower)]
               if len(spec.upper) == 3 else [])
     if not pivots:

@@ -485,3 +485,18 @@ class TestPairedSample:
         assert PairedSample(xs, ys) == PairedSample(list(xs), ys.copy())
         assert PairedSample(xs, ys) != PairedSample(ys, xs)
         assert PairedSample(xs, ys) != PairedSample(xs, ys, {"seed": 1})
+
+
+_ONE_OF_EACH = [Normal(rho=0.5), EllipticalT(sigma_xy=0.4, nu=3.0), BVP1(delta=5.87),
+                BVP2(delta=2.1, delta_y=0.5254), BVP3(delta=1.5, delta_x=1.5, delta_y=1.0)]
+
+
+@pytest.mark.parametrize("f", _ONE_OF_EACH, ids=lambda f: f.name)
+def test_margins_are_built_once_per_family_and_stay_out_of_its_fields(f):
+    f, twin = dataclasses.replace(f), dataclasses.replace(f)
+    before = repr(f), hash(f)
+    pair = margins(f)
+    again = margins(f)
+    assert again[0] is pair[0] and again[1] is pair[1]
+    assert pair == margins(twin) and pair[0] is not margins(twin)[0]
+    assert (repr(f), hash(f)) == before and f == twin

@@ -3,6 +3,7 @@ one over its whole domain), the regression route and lambda_w."""
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,51 @@ def _rerank_bootstrap_se(stat, xs, ys, n_boot, seed):
 W_TABLE = WeightFunction.table([0.0, 0.3, 0.7, 1.0], [0.0, 0.2, 0.6, 1.0])
 
 
+def _assert_ranks_match(v):
+    """_ranks is rankdata and _sort_order a stable argsort of v, bit for bit."""
+    r = _ranks(v)
+    assert r.dtype == np.float64
+    assert np.array_equal(r, rankdata(v))
+    assert np.array_equal(r / (v.size + 1.0), rankdata(v) / (v.size + 1.0))
+    o, starts = _sort_order(r)
+    assert np.array_equal(o, np.argsort(v, kind="stable"))
+    want = np.flatnonzero(np.diff(v[o], prepend=-np.inf))
+    assert (starts is None) == (want.size == v.size)
+    assert starts is None or np.array_equal(starts, want)
+
+
+def _with_ulp_cluster(v, rng, size=64):
+    """v with `size` random entries replaced by 1 + k ulp, k = 0..size-1 shuffled.
+
+    The cluster's values are distinct but share their high key bits, so the
+    kernel's sort leaves them in index order: collisions out of value order.
+    """
+    v = v.copy()
+    v[rng.choice(v.size, size, replace=False)] = 1.0 + np.spacing(1.0) * rng.permutation(size)
+    return v
+
+
+def _signed_extremes(rng, n):
+    return rng.choice(np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]), n)
+
+
+# At n = 4096 (12 index bits) each input reaches one path of _ranks.
+_KERNEL_INPUTS = {
+    # few equal high parts: the adjacent pairs are compared one by one and
+    # the cluster's run is re-sorted
+    "sparse collisions": lambda rng, z: _with_ulp_cluster(z, rng),
+    "sparse signed extremes": lambda rng, z: np.where(
+        rng.random(z.size) < 0.02, _signed_extremes(rng, z.size), z),
+    # ties nearly everywhere: the sorted values are gathered once, and the
+    # cluster's run is re-sorted among them
+    "gathered collisions": lambda rng, z: _with_ulp_cluster(np.round(z, 1), rng),
+    "99% ties": lambda rng, z: np.where(rng.random(z.size) < 0.01, z, 2.5),
+    # the runs to re-sort would hold most values: one argsort of v instead
+    "dense collisions": lambda rng, z: 1.0 + 1e-12 * rng.random(z.size),
+    "signed zeros and extremes": lambda rng, z: _signed_extremes(rng, z.size),
+}
+
+
 class TestRankKernel:
     @given(values=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=300),
            decimals=st.sampled_from([None, 1, 0]))
@@ -318,15 +364,35 @@ class TestRankKernel:
         v = np.array(values)
         if decimals is not None:
             v = np.round(v, decimals)
-        r = _ranks(v)
-        assert r.dtype == np.float64
-        assert np.array_equal(r, rankdata(v))
-        assert np.array_equal(r / (v.size + 1.0), rankdata(v) / (v.size + 1.0))
-        o, starts = _sort_order(r)
-        assert np.array_equal(o, np.argsort(v, kind="stable"))
-        want = np.flatnonzero(np.diff(v[o], prepend=-np.inf))
-        assert (starts is None) == (want.size == v.size)
-        assert starts is None or np.array_equal(starts, want)
+        _assert_ranks_match(v)
+
+    @pytest.mark.parametrize("name", list(_KERNEL_INPUTS))
+    def test_packed_key_paths(self, name):
+        rng = np.random.default_rng(26)
+        _assert_ranks_match(_KERNEL_INPUTS[name](rng, rng.standard_normal(4096)))
+
+    @pytest.mark.parametrize("name", ["tie-free", "rounded", "dense collisions"])
+    def test_peak_allocation_below_an_argsort_kernel(self, name):
+        # an argsort kernel holds 33 bytes a value at its peak: the order,
+        # the sorted values, the ranks and their source, and a mask
+        n = 1 << 17
+        rng = np.random.default_rng(3)
+        v = {"tie-free": rng.pareto(1.5, n), "rounded": np.round(rng.standard_normal(n), 2),
+             "dense collisions": 1.0 + 1e-12 * rng.random(n)}[name]
+        tracemalloc.start()
+        try:
+            _ranks(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 33 * n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 1024, 1025])
+    def test_sizes_where_the_index_bits_step(self, n):
+        # (n-1).bit_length() index bits: 2^j and 2^j + 1 take one more than 2^j - 1
+        rng = np.random.default_rng(n)
+        _assert_ranks_match(rng.standard_normal(n))
+        _assert_ranks_match(1.0 + np.spacing(1.0) * (rng.permutation(n) // 2))
 
 
 def _record_sorts(monkeypatch):
@@ -682,6 +748,30 @@ class TestClosedCw:
             worst_terms = max(worst_terms, detail["series_terms"])
         # four series together, against the cap on each one
         assert worst_terms < SERIES_TERM_CAP // 5
+
+
+class TestMarginsCache:
+    @pytest.mark.parametrize("fam,w", [
+        (Normal(rho=0.5), W_BETA), (EllipticalT(sigma_xy=0.4, nu=3.0), W_POW2),
+        (BVP1(delta=5.87), W_TABLE), (BVP2(delta=2.1, delta_y=0.5254), W_BETA),
+        (BVP3(delta=1.5, delta_x=1.5, delta_y=1.0), W_POW2)],
+        ids=["normal", "t", "bvp1", "bvp2", "bvp3"])
+    def test_routes_read_the_same_values_cold_and_warm(self, fam, w):
+        # closed_forms' routes on a family whose margins are not built yet,
+        # again on the same family, and on an equal one built apart
+        def routes(f):
+            got = [lambda_w_margin(margins(f)[0], w)]
+            if not isinstance(f, BVP3):
+                got += [cw_via_regression(f, w).value, gini_wipm_rhs(f, w).premium]
+            if not (isinstance(f, BVP2) and w is W_TABLE):
+                got.append(closed_cw(f, w).value)
+            if not isinstance(f, (Normal, EllipticalT)):
+                got.append(hoeffding_cw(f, w))
+            return got
+
+        f = dataclasses.replace(fam)
+        cold = routes(f)
+        assert routes(f) == cold == routes(dataclasses.replace(fam))
 
 
 class TestFamilyBoundaries:

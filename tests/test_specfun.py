@@ -223,13 +223,28 @@ class TestHypPfq:
         reduced = hyp_pfq(HypergeometricSpec((1.5, 2.0), (7.0,), 1.0))
         assert full == pytest.approx(reduced, rel=1e-11)
 
+    @pytest.mark.parametrize("a,b,c", [(5.0, 6.0, 11.2), (9.0, 8.0, 17.6)])
+    def test_small_margin_2f1_by_gauss(self, a, b, c):
+        # margins 0.2 and 0.6 with large parameters: summed as written they
+        # need more than SERIES_TERM_CAP terms
+        import mpmath
+        got = hyp_pfq(HypergeometricSpec((a, b), (c,), 1.0))
+        assert got == pytest.approx(float(mpmath.hyp2f1(a, b, c, 1)), rel=1e-13, abs=0.0)
+        assert (got.representation, got.terms, got.tail_share) == ("gauss", 0, 0.0)
+        assert got.margin == pytest.approx(c - a - b, rel=1e-14)
+
+    def test_gauss_sum_beyond_double_precision_raises(self):
+        with pytest.raises(ConvergenceError, match="overflows double precision"):
+            hyp_pfq(HypergeometricSpec((1000.0, 1000.0), (2000.5,), 1.0))
+
     def test_divergent_margin_raises(self):
         with pytest.raises(ConvergenceError):
             hyp_pfq(HypergeometricSpec((2.0, 2.0), (3.5,), 1.0))  # h = -0.5
 
     def test_cap_error_carries_diagnostics(self, monkeypatch):
-        # 2F1(1/2, 1/2; 3/2; 1) = pi/2 needs ~2600 terms
-        spec = HypergeometricSpec((0.5, 0.5), (1.5,), 1.0)
+        # 3F2(1/2, 1/2, 1; 3/2, 1; 1) = 2F1(1/2, 1/2; 3/2; 1) = pi/2 needs
+        # ~2600 terms; no pivot serves it, so it is summed as written
+        spec = HypergeometricSpec((0.5, 0.5, 1.0), (1.5, 1.0), 1.0)
         monkeypatch.setattr(specfun, "SERIES_TERM_CAP", 50)
         with pytest.raises(SeriesCapError) as err:
             hyp_pfq(spec)
@@ -241,7 +256,7 @@ class TestHypPfq:
     def test_cap_inside_a_later_block_sums_exactly_cap_terms(self, monkeypatch, cap):
         # terms are formed in blocks of 64, 128, 256, ...; a cap inside a
         # block still stops the sum after exactly `cap` terms
-        spec = HypergeometricSpec((0.5, 0.5), (1.5,), 1.0)
+        spec = HypergeometricSpec((0.5, 0.5, 1.0), (1.5, 1.0), 1.0)
         monkeypatch.setattr(specfun, "SERIES_TERM_CAP", cap)
         with pytest.raises(SeriesCapError) as err:
             hyp_pfq(spec)
@@ -263,9 +278,9 @@ class TestHypPfq:
         assert err.value.terms == 50
 
     def test_rel_tol_is_read_at_each_call(self, monkeypatch):
-        # 2F1(1/2, 1/2; 3/2; 1) = pi/2 by Gauss's sum; a looser stop rule sums
-        # fewer terms and stays within its own tolerance
-        spec = HypergeometricSpec((0.5, 0.5), (1.5,), 1.0)
+        # 3F2(1/2, 1/2, 1; 3/2, 1; 1) = pi/2 by Gauss's sum; a looser stop
+        # rule sums fewer terms and stays within its own tolerance
+        spec = HypergeometricSpec((0.5, 0.5, 1.0), (1.5, 1.0), 1.0)
         tight = hyp_pfq(spec)
         monkeypatch.setattr(specfun, "SERIES_REL_TOL", 1e-6)
         loose = hyp_pfq(spec)
@@ -280,13 +295,15 @@ class TestHypPfq:
         small = hyp_pfq(HypergeometricSpec((3.0, 2.0, 1.0), (4.02, 2.111), 1.0))
         assert (small.representation, small.margin) == ("thomae", 2.0)
         assert 0 < small.terms < SERIES_TERM_CAP // 100
-        # 2F1 keeps its direct path whatever its margin
+        # a 2F1 is Gauss's sum whatever its margin
         unit_2f1 = hyp_pfq(HypergeometricSpec((0.5, 0.5), (1.5,), 1.0))
-        assert unit_2f1.representation == "direct"
+        assert (unit_2f1.representation, unit_2f1.terms) == ("gauss", 0)
 
     def test_tail_share_is_the_part_beyond_the_terms_summed(self):
-        # 2F1(2, 1; 4.5; 1) = 7/3 by Gauss's sum
-        got = hyp_pfq(HypergeometricSpec((2.0, 1.0), (4.5,), 1.0))
+        # 3F2(2, 1, 1; 4.5, 1; 1) = 2F1(2, 1; 4.5; 1) = 7/3 by Gauss's sum,
+        # summed as written
+        got = hyp_pfq(HypergeometricSpec((2.0, 1.0, 1.0), (4.5, 1.0), 1.0))
+        assert got.representation == "direct"
         partial = mp.nsum(lambda j: mp.rf(2, j) * mp.rf(1, j) / (mp.rf(4.5, j) * mp.factorial(j)),
                           [0, got.terms - 1])
         assert got.tail_share == pytest.approx(float(1 - partial * 3 / 7), rel=1e-6)
@@ -326,11 +343,10 @@ class TestHypPfq:
         # 1.5e-12 short; a Thomae sum at margin 0.05; a direct 3F2 at
         # margin 9.5, past mpmath.hyp3f2's range; a direct 3F2 at margin
         # 6.7 that mpmath.hyp3f2 at 20 digits puts 8.4e-9 off (see
-        # mp_unit_hyp).  A 2F1, and a 3F2 that no
-        # pivot serves, are summed as written, and below margin 0.6 with
-        # parameters near 10 those need more than SERIES_TERM_CAP terms.
+        # mp_unit_hyp).  A 2F1 is Gauss's sum at any margin.  A 3F2 that no
+        # pivot serves is summed as written, and below margin 0.6 with
+        # parameters near 10 it needs more than SERIES_TERM_CAP terms.
         if q == 1:
-            assume(h >= 0.6)
             spec = HypergeometricSpec(upper[:2], (upper[0] + upper[1] + h,), 1.0)
         else:
             assume(h >= 0.6 or upper[pivot] > h)
