@@ -48,21 +48,22 @@ class PairedSample:
     """Two equal-length observation vectors with a provenance record.
 
     A sample's values are fixed after construction: xs and ys are read-only
-    views of the arrays passed in (no copy), so the finiteness check made
-    here and each margin's ranks, computed on first use and kept in a
-    private cache, stay valid for the sample's life.  Writing to the
+    views of the arrays passed in (no copy; an array already read-only is
+    kept as it is), so the finiteness check made here stays valid for the
+    sample's life.  So do the ranks and rank weights of each margin, which
+    gini computes on first use and keeps in a memo entry per read-only
+    array: every sample built on the same read-only arrays, as
+    PairedSample(s.xs, s.xs), s.swapped() or PairedSample(s.ys, s.xs),
+    shares them, and a sample built from one array twice, as
+    PairedSample(a, a), ranks it once.  A writable input gets a fresh view,
+    so nothing a caller can still write to is shared; writing to the
     arrays behind the views is outside this contract.  Samples are equal
-    when their values and meta are; the cache takes no part in equality
-    or repr.  A sample built from one array twice, as PairedSample(a, a),
-    ranks it once.
+    when their values and meta are.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     meta: dict = field(default_factory=dict)
-    # one single-item list per margin, holding its average ranks once
-    # computed (gini._margin_ranks); swapped() shares them
-    _rank_slots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -73,18 +74,12 @@ class PairedSample:
             raise DomainError(f"paired sample needs n >= 3, got {xs.size}")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
             raise DomainError("paired sample values must be finite")
-        slot_x = [None]
-        if ys is xs:
-            xs = ys = _read_only(xs)
-            slot_y = slot_x
-        else:
-            xs, ys, slot_y = _read_only(xs), _read_only(ys), [None]
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "_rank_slots", (slot_x, slot_y))
+        ro = _read_only(xs)
+        object.__setattr__(self, "xs", ro)
+        object.__setattr__(self, "ys", ro if ys is xs else _read_only(ys))
 
     def __eq__(self, other):
-        # by value: two samples of the same arrays hold distinct views
+        # by value: two samples of one writable array hold distinct views
         if not isinstance(other, PairedSample):
             return NotImplemented
         return (np.array_equal(self.xs, other.xs) and np.array_equal(self.ys, other.ys)
@@ -95,9 +90,7 @@ class PairedSample:
         return self.xs.size
 
     def swapped(self) -> "PairedSample":
-        s = PairedSample(self.ys, self.xs, dict(self.meta, swapped=True))
-        object.__setattr__(s, "_rank_slots", self._rank_slots[::-1])
-        return s
+        return PairedSample(self.ys, self.xs, dict(self.meta, swapped=True))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -407,10 +400,19 @@ def _draw(f: BivariateFamily, n: int, rng: np.random.Generator):
         ex = rng.standard_exponential(n)
         ey = rng.standard_exponential(n)
         g = rng.standard_gamma(f.delta, n)
-        # a zero index (BVP1, BVP2) draws no variate and adds 0.0, which leaves g exact
-        gx, gy = (rng.standard_gamma(d, n) if d > 0.0 else 0.0
-                  for d in (f.delta_x, f.delta_y))
-        return f.mu_x + f.sigma_x * ex / (gx + g), f.mu_y + f.sigma_y * ey / (gy + g)
+        # mu + sigma e / (g_d + g) in place, in that order of operations; a
+        # zero index (BVP1, BVP2) draws no variate and divides by g itself
+        for e, d, mu, sigma in ((ex, f.delta_x, f.mu_x, f.sigma_x),
+                                (ey, f.delta_y, f.mu_y, f.sigma_y)):
+            e *= sigma
+            if d > 0.0:
+                gd = rng.standard_gamma(d, n)
+                gd += g
+                e /= gd
+            else:
+                e /= g
+            e += mu
+        return ex, ey
     raise DomainError(f"unknown family {f!r}")
 
 

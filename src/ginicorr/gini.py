@@ -16,7 +16,9 @@ offers four routes that must agree where their domains overlap:
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,17 +146,74 @@ def _unsorted_runs(k: np.ndarray, bad: np.ndarray, low: int) -> np.ndarray:
     return np.arange(lens.sum()) + np.repeat(lo - np.cumsum(lens) + lens, lens)
 
 
-def _margin_ranks(s: PairedSample, j: int) -> np.ndarray:
-    """Average ranks of s.xs (j = 0) or s.ys (j = 1), sorted once per sample.
+class _Derived:
+    """What is derived from one read-only array, computed on first use.
 
-    The first call ranks the margin and keeps the ranks in the sample's
-    rank cache; later calls, also through s.swapped(), return them.  Valid
-    because a sample's values are fixed.
+    ranks are its average ranks; weighted is (w, w(1 - ranks/(n+1))) for
+    the last weight w asked for, held as one tuple so that a reader never
+    pairs one weight with another's values.  Both arrays are read-only.
     """
-    slot = s._rank_slots[j]
-    if slot[0] is None:
-        slot[0] = _ranks(s.ys if j else s.xs)
-    return slot[0]
+
+    __slots__ = ("ref", "ranks", "weighted")
+
+    def __init__(self, ref):
+        self.ref, self.ranks, self.weighted = ref, None, None
+
+
+# one entry per read-only margin array, keyed by id(array); the weakref's
+# callback drops it when the array dies
+_DERIVED: dict[int, _Derived] = {}
+
+
+def _forget(key: int, ref: weakref.ref) -> None:
+    d = _DERIVED.get(key)
+    if d is not None and d.ref is ref:
+        del _DERIVED[key]
+
+
+def _derived(a: np.ndarray) -> _Derived:
+    """a's memo entry, made empty on a's first use.
+
+    Valid only for a read-only array: a PairedSample's margins are.  Every
+    sample built on those same views, as PairedSample(s.xs, s.xs),
+    s.swapped() or lambda_w_empirical(s.xs, w), finds the same entry.
+    """
+    key = id(a)
+    d = _DERIVED.get(key)
+    if d is None or d.ref() is not a:
+        d = _DERIVED[key] = _Derived(weakref.ref(a, functools.partial(_forget, key)))
+    return d
+
+
+def _margin_ranks(s: PairedSample, j: int) -> np.ndarray:
+    """Average ranks of s.xs (j = 0) or s.ys (j = 1), sorted once per array.
+
+    The first call ranks the margin and keeps the ranks in its array's
+    memo entry; later calls return them.  Valid because a sample's values
+    are fixed.
+    """
+    a = s.ys if j else s.xs
+    d = _derived(a)
+    if d.ranks is None:
+        r = _ranks(a)
+        r.flags.writeable = False
+        d.ranks = r
+    return d.ranks
+
+
+def _margin_weights(s: PairedSample, j: int, w: WeightFunction) -> np.ndarray:
+    """w(1 - u) at the margin's plotting positions, evaluated once per array and weight.
+
+    The margin's memo entry keeps the last weight's values, so estimators
+    that share a margin and a weight evaluate w over it once.
+    """
+    d = _derived(s.ys if j else s.xs)
+    weighted = d.weighted
+    if weighted is None or weighted[0] is not w:
+        wv = _rank_weights(w, _margin_ranks(s, j), s.n)
+        wv.flags.writeable = False
+        weighted = d.weighted = (w, wv)
+    return weighted[1]
 
 
 def _rank_weights(w: WeightFunction, r: np.ndarray, n: int) -> np.ndarray:
@@ -288,30 +347,31 @@ def empirical_cw(s: PairedSample, w: WeightFunction, n_boot: int = 200,
     samples by the rearrangement inequality; under heavy ties the average
     ranks can break them slightly, which is documented, not enforced.
 
-    Each margin is sorted at most once per sample: its ranks are kept in
-    the sample's rank cache, which gini_premium, gini_wipm_rhs and
-    lambda_w share.  n_boot > 0 attaches a seeded nonparametric-bootstrap
-    standard error; pass 0 to skip it on large inputs.  n_boot < 0 or
-    0 < n_boot < 10 raises DomainError.  The bootstrap recovers each
-    margin's sort order from the cached ranks without sorting again, draws
-    each resample as multiplicity counts over the sample and reads its
-    ranks off the running sums of those counts in each margin's order
-    (summed over tie groups first where there are ties), so w is evaluated
-    once per possible average rank, not per resample.  Constant xs have no
-    C_w: the sample raises DegenerateSampleError and such a resample is
-    skipped; detail records n_boot_used and n_boot_skipped.
+    Each margin array is sorted at most once, and w is evaluated over its
+    ranks once per weight: both are kept in the array's memo entry, which
+    gini_premium, gini_wipm_rhs, lambda_w and every sample built on the
+    same read-only arrays share.  n_boot > 0 attaches a seeded
+    nonparametric-bootstrap standard error; pass 0 to skip it on large
+    inputs.  n_boot < 0 or 0 < n_boot < 10 raises DomainError.  The
+    bootstrap recovers each margin's sort order from the cached ranks
+    without sorting again, draws each resample as multiplicity counts over
+    the sample and reads its ranks off the running sums of those counts in
+    each margin's order (summed over tie groups first where there are
+    ties), so w is evaluated once per possible average rank, not per
+    resample.  Constant xs have no C_w: the sample raises
+    DegenerateSampleError and such a resample is skipped; detail records
+    n_boot_used and n_boot_skipped.
     """
     _check_n_boot(n_boot)
     n = s.n
-    rx, ry = _margin_ranks(s, 0), _margin_ranks(s, 1)
-    value = _cw_ratio(s.xs, s.xs - s.xs.mean(), _rank_weights(w, rx, n),
-                      _rank_weights(w, ry, n))
+    value = _cw_ratio(s.xs, s.xs - s.xs.mean(), _margin_weights(s, 0, w),
+                      _margin_weights(s, 1, w))
     se, detail = None, {}
     if n_boot > 0:
         # w at every average rank a resample can produce, 1, 1.5, ..., n,
         # and a 0 at each end
         table = np.pad(_rank_weights(w, np.arange(2, 2 * n + 1) / 2.0, n), 1)
-        (ox, gx), (oy, gy) = _sort_order(rx), _sort_order(ry)
+        (ox, gx), (oy, gy) = (_sort_order(_margin_ranks(s, j)) for j in (0, 1))
         x_ox, x_oy = s.xs[ox], s.xs[oy]
         work = (*np.empty((2, n), dtype=np.intp), *np.empty((2, n)))
 
@@ -403,17 +463,18 @@ def lambda_w(x, w: WeightFunction) -> float:
     """Dispatch: sample arrays / PairedSample xs -> ranks, margins -> quadrature.
 
     An array is taken as PairedSample(xs, xs): n >= 3 finite 1-d values, else
-    DomainError.  xs are ranked through the rank cache, and empirical C_w(xs, -xs)
-    == -lambda_w(xs) bit for bit on tie-free data, as both evaluate w on one rank array.
+    DomainError.  xs are ranked and w(1 - u) evaluated through the margin's memo
+    entry, and empirical C_w(xs, -xs) == -lambda_w(xs) bit for bit on tie-free
+    data, as both evaluate w on one rank array.
     """
     if isinstance(x, (np.ndarray, list, tuple)):
         x = PairedSample(x, x)
     elif not isinstance(x, PairedSample):
         return lambda_w_margin(x, w)
-    r, n = _margin_ranks(x, 0), x.n
+    n = x.n
     # under average ties rank(-x) = n + 1 - rank(x) exactly
-    return -_cw_ratio(x.xs, x.xs - x.xs.mean(), _rank_weights(w, r, n),
-                      _rank_weights(w, n + 1.0 - r, n))
+    return -_cw_ratio(x.xs, x.xs - x.xs.mean(), _margin_weights(x, 0, w),
+                      _rank_weights(w, n + 1.0 - _margin_ranks(x, 0), n))
 
 
 # ---------------------------------------------------------------------------

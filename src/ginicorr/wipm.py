@@ -61,6 +61,8 @@ class Portfolio:
         cols = np.asarray(self.columns, dtype=float)
         if cols.ndim != 2 or cols.shape[1] != len(self.names):
             raise DomainError("portfolio needs an (n_obs, n_cols) array matching names")
+        if cols.shape[1] < 1:
+            raise DomainError("portfolio needs at least one column")
         if cols.shape[0] < 3:
             raise DomainError("portfolio needs at least 3 observations")
         if not np.all(np.isfinite(cols)):
@@ -73,10 +75,16 @@ class Portfolio:
         """The row sums as a read-only array, summed once, on first use.
 
         Not at construction, so no n-sized sum is held before it is needed.
-        A row sum that overflows raises DomainError.
+        The columns are added left to right, one whole column at a time,
+        which is several times faster than sum(axis=1) over short rows and
+        matches it bit for bit below 8 columns (numpy sums longer rows
+        pairwise).  A row sum that overflows raises DomainError.
         """
+        c = self.columns
         with np.errstate(over="ignore", invalid="ignore"):
-            agg = self.columns.sum(axis=1)
+            agg = c[:, 0].copy()
+            for j in range(1, c.shape[1]):
+                agg += c[:, j]
         if not np.all(np.isfinite(agg)):
             raise DomainError("portfolio aggregate overflows: a row sum is not finite")
         agg.flags.writeable = False
@@ -93,14 +101,11 @@ class Portfolio:
         return cls(tuple(names), data)
 
 
-def _rank_weights(r: np.ndarray, w: WeightFunction, orientation: str) -> np.ndarray:
-    """w(1 - F) in the given orientation at the average ranks r."""
+def _oriented(wv: np.ndarray, orientation: str) -> np.ndarray:
+    """The rank weights wv = w(1 - F) in the given orientation."""
     if orientation not in ORIENTATIONS:
         raise DomainError(f"orientation must be one of {ORIENTATIONS}")
-    wv = _gini._rank_weights(w, r, r.size)
-    if orientation == "risk_loading":
-        wv = 1.0 - wv
-    return wv
+    return 1.0 - wv if orientation == "risk_loading" else wv
 
 
 def _premium(xs: np.ndarray, wv: np.ndarray) -> float:
@@ -140,7 +145,7 @@ def gini_premium(s: PairedSample, w: WeightFunction,
     transforms of Y and scale-equivariant in X.  See the module docstring
     for the orientation of the weight and the sign of the loading.
     """
-    premium = _premium(s.xs, _rank_weights(_gini._margin_ranks(s, 1), w, orientation))
+    premium = _premium(s.xs, _oriented(_gini._margin_weights(s, 1, w), orientation))
     return PremiumResult(premium, float(s.xs.mean()), "empirical",
                          {"n": s.n, "orientation": orientation})
 
@@ -169,8 +174,7 @@ def gini_wipm_rhs(f_or_s, w: WeightFunction) -> PremiumResult:
     """
     if isinstance(f_or_s, PairedSample):
         s = f_or_s
-        wx = _gini._rank_weights(w, _gini._margin_ranks(s, 0), s.n)
-        wy = _gini._rank_weights(w, _gini._margin_ranks(s, 1), s.n)
+        wx, wy = _gini._margin_weights(s, 0, w), _gini._margin_weights(s, 1, w)
         dev_x = s.xs - s.xs.mean()
         dev_y = s.ys - s.ys.mean()
         cw = _gini._cw_ratio(s.xs, dev_x, wx, wy)
@@ -238,7 +242,7 @@ def _price_columns(p: Portfolio, w: WeightFunction, orientation: str) -> list:
     agg = p.aggregate
     if np.ptp(agg) == 0.0:
         raise DegenerateSampleError("aggregate risk is constant")
-    wv = _rank_weights(_gini._ranks(agg), w, orientation)
+    wv = _oriented(_gini._rank_weights(w, _gini._ranks(agg), agg.size), orientation)
     if np.ptp(wv) == 0.0:
         raise DegenerateSampleError("weight is constant on the aggregate's ranks")
     total = wv.sum()

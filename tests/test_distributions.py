@@ -37,6 +37,7 @@ from ginicorr.errors import (
     NoLinearRegressionError,
     UnsupportedPairError,
 )
+from ginicorr import gini
 from ginicorr.gini import empirical_cw, empirical_pearson
 from ginicorr.oracle import mc_reference
 from ginicorr.weights import WeightFunction
@@ -442,6 +443,21 @@ class TestParetoConstruction:
         assert s.xs.tobytes() == (f2.mu_x + f2.sigma_x * ex / g).tobytes()
         assert s.ys.tobytes() == (f2.mu_y + f2.sigma_y * ey / (gy + g)).tobytes()
 
+    @pytest.mark.parametrize("f", [BVP1(1.0, -2.0, 0.5, 3.0, 1.7),
+                                   BVP2(-1.0, 0.5, 2.0, 0.7, 2.1, 0.5254),
+                                   BVP3(2.0, -0.5, 1.5, 0.25, 1.5, 1.2, 0.7)],
+                             ids=lambda f: f.name)
+    def test_pareto_draws_match_the_out_of_place_expression(self, f):
+        n, seed = 1001, 11
+        rng = np.random.default_rng(seed)
+        ex, ey = rng.standard_exponential(n), rng.standard_exponential(n)
+        g = rng.standard_gamma(f.delta, n)
+        gx, gy = (rng.standard_gamma(d, n) if d > 0.0 else 0.0
+                  for d in (f.delta_x, f.delta_y))
+        s = sample(f, n, seed)
+        assert s.xs.tobytes() == (f.mu_x + f.sigma_x * ex / (gx + g)).tobytes()
+        assert s.ys.tobytes() == (f.mu_y + f.sigma_y * ey / (gy + g)).tobytes()
+
     def test_bvp1_bvp2_ddf(self):
         x = np.linspace(-1.0, 9.0, 41)
         y = np.linspace(-2.0, 5.0, 41)[::-1]
@@ -471,13 +487,13 @@ class TestPairedSample:
 
     def test_equality_and_repr_ignore_the_rank_cache(self):
         s = sample(BVP1(delta=3.0), 50, seed=4)
-        t = PairedSample(s.xs, s.ys, dict(s.meta))
+        t = PairedSample(s.xs.copy(), s.ys.copy(), dict(s.meta))
         before = repr(s)
         empirical_cw(s, WeightFunction.power(1.0), n_boot=0)
-        assert s._rank_slots[0][0] is not None and t._rank_slots[0][0] is None
+        assert gini._DERIVED[id(s.xs)].ranks is not None and id(t.xs) not in gini._DERIVED
         assert s == t
         assert repr(s) == before == repr(t)
-        assert "_rank_slots" not in repr(s)
+        assert [f.name for f in dataclasses.fields(s)] == ["xs", "ys", "meta"]
 
     def test_equality_is_by_value(self):
         xs, ys = np.arange(5.0), np.arange(5.0) ** 2

@@ -2,6 +2,7 @@
 one over its whole domain), the regression route and lambda_w."""
 
 import dataclasses
+import gc
 import itertools
 import tracemalloc
 
@@ -436,7 +437,7 @@ class TestRankCache:
         ranked = _record_sorts(monkeypatch)
         warm = empirical_cw(s, W_BETA, n_boot=200, seed=5)
         assert ranked == []
-        cold = empirical_cw(PairedSample(s.xs, s.ys), W_BETA, n_boot=200, seed=5)
+        cold = empirical_cw(PairedSample(s.xs.copy(), s.ys.copy()), W_BETA, n_boot=200, seed=5)
         assert len(ranked) == 2
         assert _cw_fields(warm) == _cw_fields(cold)
 
@@ -454,10 +455,10 @@ class TestRankCache:
         ranked = _record_sorts(monkeypatch)
         warm = empirical_cw(s.swapped(), W_TABLE, n_boot=100, seed=2)
         assert ranked == []
-        cold = empirical_cw(PairedSample(s.ys, s.xs), W_TABLE, n_boot=100, seed=2)
+        cold = empirical_cw(PairedSample(s.ys.copy(), s.xs.copy()), W_TABLE, n_boot=100, seed=2)
         assert _cw_fields(warm) == _cw_fields(cold)
         # ranks a swapped sample fills are seen by the sample it came from
-        t = PairedSample(s.xs, s.ys)
+        t = PairedSample(s.xs.copy(), s.ys.copy())
         gini_premium(t.swapped(), W_TABLE)
         lambda_w(t, W_TABLE)
         assert len(ranked) == 3 and ranked[2] is t.xs
@@ -467,13 +468,73 @@ class TestRankCache:
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
     def test_cold_and_warm_cache_agree_bitwise(self, w, tied):
         s = _tied_sample() if tied else sample(BVP2(delta=2.1, delta_y=0.5254), 400, seed=17)
-        cold = [_cw_fields(empirical_cw(PairedSample(s.xs, s.ys), w, n_boot=100, seed=9)),
-                lambda_w(PairedSample(s.xs, s.ys), w)]
+        cold = [_cw_fields(empirical_cw(PairedSample(s.xs.copy(), s.ys.copy()), w,
+                                        n_boot=100, seed=9)),
+                lambda_w(PairedSample(s.xs.copy(), s.ys.copy()), w)]
         gini_premium(s, w)
         gini_wipm_rhs(s, w)
         warm = [_cw_fields(empirical_cw(s, w, n_boot=100, seed=9)), lambda_w(s, w)]
         assert warm == cold
         assert warm[1] == lambda_w_empirical(s.xs, w)
+
+
+    def test_samples_on_one_array_sort_and_weigh_nothing_after_the_first(self, monkeypatch):
+        s = _tied_sample()
+        ranked = _record_sorts(monkeypatch)
+        weighed = []
+        rank_weights = gini._rank_weights
+
+        def recording(w, r, n):
+            weighed.append(r)
+            return rank_weights(w, r, n)
+
+        monkeypatch.setattr(gini, "_rank_weights", recording)
+        empirical_cw(s, W_POW2, n_boot=0)
+        assert len(ranked) == 2 and len(weighed) == 2
+        for t in (PairedSample(s.xs, s.xs), s.swapped(), PairedSample(s.ys, s.xs)):
+            empirical_cw(t, W_POW2, n_boot=0)
+            gini_premium(t, W_POW2)
+            gini_premium(t, W_POW2, orientation="risk_loading")
+            gini_wipm_rhs(t, W_POW2)
+        assert len(ranked) == 2 and len(weighed) == 2
+        # lambda_w evaluates only w(1 - u) at the reflected ranks afresh
+        lambda_w_empirical(s.xs, W_POW2)
+        assert len(ranked) == 2 and len(weighed) == 3
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_alternating_weights_match_cold_copies_bitwise(self, tied):
+        s = _tied_sample() if tied else sample(BVP2(delta=2.1, delta_y=0.5254), 400, seed=17)
+
+        def results(t, w):
+            rhs = gini_wipm_rhs(t, w)
+            return [_cw_fields(empirical_cw(t, w, n_boot=20, seed=3)), lambda_w(t, w),
+                    gini_premium(t, w), gini_premium(t, w, orientation="risk_loading"),
+                    (rhs.premium, rhs.base, rhs.detail)]
+
+        for w in (W_POW2, W_BETA, W_POW2, W_TABLE, W_POW2):
+            cold = results(PairedSample(s.xs.copy(), s.ys.copy()), w)
+            assert results(s, w) == cold
+            assert results(s.swapped(), w) == results(PairedSample(s.ys.copy(), s.xs.copy()), w)
+
+    def test_memo_arrays_are_read_only(self):
+        s = _tied_sample()
+        gini_wipm_rhs(s, W_BETA)
+        for j in (0, 1):
+            for a in (gini._margin_ranks(s, j), gini._margin_weights(s, j, W_BETA)):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+
+    def test_memo_forgets_dropped_samples(self):
+        gc.collect()
+        before = len(gini._DERIVED)
+        rng = np.random.default_rng(4)
+        kept = [PairedSample(rng.random(5), rng.random(5)) for _ in range(1000)]
+        for s in kept:
+            empirical_cw(s, W_POW2, n_boot=0)
+        assert len(gini._DERIVED) == before + 2000
+        del kept, s
+        assert len(gini._DERIVED) == before
 
 
 class TestCountsBootstrap:

@@ -142,10 +142,10 @@ class TestRankCacheBitwise:
             return [gini_premium(t, w), gini_premium(t, w, orientation="risk_loading"),
                     (rhs.premium, rhs.base, rhs.detail)]
 
-        cold = results(PairedSample(s.xs, s.ys))
+        cold = results(PairedSample(s.xs.copy(), s.ys.copy()))
         empirical_cw(s, w, n_boot=20)
         assert results(s) == cold
-        cold_swapped = results(PairedSample(s.ys, s.xs))
+        cold_swapped = results(PairedSample(s.ys.copy(), s.xs.copy()))
         assert results(s.swapped()) == cold_swapped
 
 
@@ -322,6 +322,23 @@ class TestPortfolio:
         with pytest.raises(ValueError):
             p.aggregate[0] = 0.0
         assert "aggregate" not in repr(p)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_aggregate_adds_fewer_than_8_columns_as_numpy_sums_rows(self, k):
+        cols = np.random.default_rng(k).pareto(1.5, (1000, k))
+        p = Portfolio(tuple("abcdefg"[:k]), cols)
+        assert p.aggregate.tobytes() == cols.sum(axis=1).tobytes()
+
+    def test_aggregate_of_12_columns_is_the_row_sum_to_rounding(self):
+        # numpy sums rows of 8 or more values pairwise, the aggregate left to right
+        cols = np.random.default_rng(12).pareto(1.5, (1000, 12))
+        p = Portfolio(tuple("abcdefghijkl"), cols)
+        want = cols.sum(axis=1)
+        assert np.all(np.abs(p.aggregate - want) <= 1e-15 * want)
+
+    def test_no_columns_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="at least one column"):
+            Portfolio((), np.zeros((4, 0)))
 
     def test_from_csv_rejects_a_bad_row_and_a_missing_header(self, tmp_path):
         path = tmp_path / "p.csv"
