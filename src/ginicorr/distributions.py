@@ -55,10 +55,12 @@ class PairedSample:
     array: every sample built on the same read-only arrays, as
     PairedSample(s.xs, s.xs), s.swapped() or PairedSample(s.ys, s.xs),
     shares them, and a sample built from one array twice, as
-    PairedSample(a, a), ranks it once.  A writable input gets a fresh view,
-    so nothing a caller can still write to is shared; writing to the
-    arrays behind the views is outside this contract.  Samples are equal
-    when their values and meta are.
+    PairedSample(a, a), ranks it once.  A Portfolio's read-only aggregate
+    has an entry too, which allocate and gini_premium on
+    PairedSample(p.aggregate, p.aggregate) share.  A writable input gets a
+    fresh view, so nothing a caller can still write to is shared; writing
+    to the arrays behind the views is outside this contract.  Samples are
+    equal when their values and meta are.
     """
 
     xs: np.ndarray

@@ -160,7 +160,7 @@ class _Derived:
         self.ref, self.ranks, self.weighted = ref, None, None
 
 
-# one entry per read-only margin array, keyed by id(array); the weakref's
+# one entry per read-only array, keyed by id(array); the weakref's
 # callback drops it when the array dies
 _DERIVED: dict[int, _Derived] = {}
 
@@ -174,9 +174,11 @@ def _forget(key: int, ref: weakref.ref) -> None:
 def _derived(a: np.ndarray) -> _Derived:
     """a's memo entry, made empty on a's first use.
 
-    Valid only for a read-only array: a PairedSample's margins are.  Every
-    sample built on those same views, as PairedSample(s.xs, s.xs),
-    s.swapped() or lambda_w_empirical(s.xs, w), finds the same entry.
+    Valid only for a read-only array, whose values are fixed: a
+    PairedSample's margins and a Portfolio's aggregate are.  Every sample
+    built on those same views, as PairedSample(s.xs, s.xs), s.swapped(),
+    lambda_w_empirical(s.xs, w) or PairedSample(p.aggregate, p.aggregate),
+    finds the same entry.
     """
     key = id(a)
     d = _DERIVED.get(key)
@@ -185,14 +187,8 @@ def _derived(a: np.ndarray) -> _Derived:
     return d
 
 
-def _margin_ranks(s: PairedSample, j: int) -> np.ndarray:
-    """Average ranks of s.xs (j = 0) or s.ys (j = 1), sorted once per array.
-
-    The first call ranks the margin and keeps the ranks in its array's
-    memo entry; later calls return them.  Valid because a sample's values
-    are fixed.
-    """
-    a = s.ys if j else s.xs
+def _margin_ranks(a: np.ndarray) -> np.ndarray:
+    """Average ranks of the read-only array a, sorted on first use and kept in its memo entry."""
     d = _derived(a)
     if d.ranks is None:
         r = _ranks(a)
@@ -201,16 +197,15 @@ def _margin_ranks(s: PairedSample, j: int) -> np.ndarray:
     return d.ranks
 
 
-def _margin_weights(s: PairedSample, j: int, w: WeightFunction) -> np.ndarray:
-    """w(1 - u) at the margin's plotting positions, evaluated once per array and weight.
+def _margin_weights(a: np.ndarray, w: WeightFunction) -> np.ndarray:
+    """w(1 - u) at the read-only array a's plotting positions, evaluated once per weight.
 
-    The margin's memo entry keeps the last weight's values, so estimators
-    that share a margin and a weight evaluate w over it once.
+    a's memo entry keeps the last weight's values.
     """
-    d = _derived(s.ys if j else s.xs)
+    d = _derived(a)
     weighted = d.weighted
     if weighted is None or weighted[0] is not w:
-        wv = _rank_weights(w, _margin_ranks(s, j), s.n)
+        wv = _rank_weights(w, _margin_ranks(a), a.size)
         wv.flags.writeable = False
         weighted = d.weighted = (w, wv)
     return weighted[1]
@@ -364,14 +359,14 @@ def empirical_cw(s: PairedSample, w: WeightFunction, n_boot: int = 200,
     """
     _check_n_boot(n_boot)
     n = s.n
-    value = _cw_ratio(s.xs, s.xs - s.xs.mean(), _margin_weights(s, 0, w),
-                      _margin_weights(s, 1, w))
+    value = _cw_ratio(s.xs, s.xs - s.xs.mean(), _margin_weights(s.xs, w),
+                      _margin_weights(s.ys, w))
     se, detail = None, {}
     if n_boot > 0:
         # w at every average rank a resample can produce, 1, 1.5, ..., n,
         # and a 0 at each end
         table = np.pad(_rank_weights(w, np.arange(2, 2 * n + 1) / 2.0, n), 1)
-        (ox, gx), (oy, gy) = (_sort_order(_margin_ranks(s, j)) for j in (0, 1))
+        (ox, gx), (oy, gy) = (_sort_order(_margin_ranks(a)) for a in (s.xs, s.ys))
         x_ox, x_oy = s.xs[ox], s.xs[oy]
         work = (*np.empty((2, n), dtype=np.intp), *np.empty((2, n)))
 
@@ -473,8 +468,8 @@ def lambda_w(x, w: WeightFunction) -> float:
         return lambda_w_margin(x, w)
     n = x.n
     # under average ties rank(-x) = n + 1 - rank(x) exactly
-    return -_cw_ratio(x.xs, x.xs - x.xs.mean(), _margin_weights(x, 0, w),
-                      _rank_weights(w, n + 1.0 - _margin_ranks(x, 0), n))
+    return -_cw_ratio(x.xs, x.xs - x.xs.mean(), _margin_weights(x.xs, w),
+                      _rank_weights(w, n + 1.0 - _margin_ranks(x.xs), n))
 
 
 # ---------------------------------------------------------------------------

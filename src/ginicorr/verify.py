@@ -185,7 +185,7 @@ def _check_classical_vs_gini_normal():
     s = sample(Normal(rho=0.5), 100_000, seed=4242)
     w = WeightFunction.power(2.0)
     g = wipm.gini_premium(s, w).premium
-    wv = gini._margin_weights(s, 1, w)
+    wv = gini._margin_weights(s.ys, w)
     cls = wipm.classical_wipm_rhs(s, lambda ys: wv)  # evaluated only at s.ys
     err = abs(cls.premium - g)
     return err < 0.02, f"|classical - gini| = {err:.4f}"

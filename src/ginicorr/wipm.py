@@ -101,10 +101,11 @@ class Portfolio:
         return cls(tuple(names), data)
 
 
-def _oriented(wv: np.ndarray, orientation: str) -> np.ndarray:
-    """The rank weights wv = w(1 - F) in the given orientation."""
+def _oriented(a: np.ndarray, w: WeightFunction, orientation: str) -> np.ndarray:
+    """a's memo rank weights w(1 - F) in the orientation, checked before a is ranked."""
     if orientation not in ORIENTATIONS:
         raise DomainError(f"orientation must be one of {ORIENTATIONS}")
+    wv = _gini._margin_weights(a, w)
     return 1.0 - wv if orientation == "risk_loading" else wv
 
 
@@ -145,7 +146,7 @@ def gini_premium(s: PairedSample, w: WeightFunction,
     transforms of Y and scale-equivariant in X.  See the module docstring
     for the orientation of the weight and the sign of the loading.
     """
-    premium = _premium(s.xs, _oriented(_gini._margin_weights(s, 1, w), orientation))
+    premium = _premium(s.xs, _oriented(s.ys, w, orientation))
     return PremiumResult(premium, float(s.xs.mean()), "empirical",
                          {"n": s.n, "orientation": orientation})
 
@@ -174,7 +175,7 @@ def gini_wipm_rhs(f_or_s, w: WeightFunction) -> PremiumResult:
     """
     if isinstance(f_or_s, PairedSample):
         s = f_or_s
-        wx, wy = _gini._margin_weights(s, 0, w), _gini._margin_weights(s, 1, w)
+        wx, wy = _gini._margin_weights(s.xs, w), _gini._margin_weights(s.ys, w)
         dev_x = s.xs - s.xs.mean()
         dev_y = s.ys - s.ys.mean()
         cw = _gini._cw_ratio(s.xs, dev_x, wx, wy)
@@ -225,8 +226,9 @@ def allocate(p: Portfolio, w: WeightFunction,
     Column j receives E[X_j w(1 - F_S(S))] / E[w(1 - F_S(S))]; by linearity
     of the numerator the allocations sum to the aggregate premium
     pi_{G,w}[S] exactly (up to floating summation).  Each detail map
-    records that premium as aggregate_premium, from the same ranking of S;
-    it equals gini_premium(PairedSample(S, S)).
+    records that premium as aggregate_premium; it equals
+    gini_premium(PairedSample(S, S)) bit for bit, and shares its ranks and
+    weights: both read p.aggregate's memo entry, so S is sorted once.
     """
     if len(p.names) < 2:
         raise DomainError("allocation needs at least 2 columns")
@@ -234,19 +236,15 @@ def allocate(p: Portfolio, w: WeightFunction,
 
 
 def _price_columns(p: Portfolio, w: WeightFunction, orientation: str) -> list:
-    """allocate without its column count: S ranked once, w evaluated once.
+    """allocate without its column count: one dot product per column.
 
-    Column j's premium equals gini_premium(PairedSample(X_j, S)), so a
-    one-column portfolio is priced against itself.
+    The rank weights are p.aggregate's memo entry, so column j's premium
+    equals gini_premium(PairedSample(X_j, S)), and a one-column portfolio is
+    priced against itself.  A constant S ranks all-tied: _premium refuses it.
     """
-    agg = p.aggregate
-    if np.ptp(agg) == 0.0:
-        raise DegenerateSampleError("aggregate risk is constant")
-    wv = _oriented(_gini._rank_weights(w, _gini._ranks(agg), agg.size), orientation)
-    if np.ptp(wv) == 0.0:
-        raise DegenerateSampleError("weight is constant on the aggregate's ranks")
+    wv = _oriented(p.aggregate, w, orientation)
+    aggregate = _premium(p.aggregate, wv)
     total = wv.sum()
-    aggregate = float((agg @ wv) / total)
     out = []
     for j, name in enumerate(p.names):
         col = p.columns[:, j]

@@ -519,8 +519,8 @@ class TestRankCache:
     def test_memo_arrays_are_read_only(self):
         s = _tied_sample()
         gini_wipm_rhs(s, W_BETA)
-        for j in (0, 1):
-            for a in (gini._margin_ranks(s, j), gini._margin_weights(s, j, W_BETA)):
+        for v in (s.xs, s.ys):
+            for a in (gini._margin_ranks(v), gini._margin_weights(v, W_BETA)):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[0] = 0.0

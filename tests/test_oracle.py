@@ -270,6 +270,11 @@ class TestTailQuadrature:
 BVP3_POINTS = [((1.5, 1.5, 1.0), 1.0), ((1.5, 1.5, 1.0), 2.0), ((1.2, 0.3, 0.2), 0.5),
                ((0.8, 0.4, 0.2), 0.1), ((1.0, 0.02, 0.01), 0.1), ((0.9, 0.2, 0.1), 0.05),
                ((0.9, 0.3, 0.1), 0.05)]
+# X tail indices delta + delta_x near 1: 1.005, 1.002 and 1.001 (twice)
+BVP3_POINTS += [(params, gamma)
+                for params in ((0.5, 0.505, 0.3), (1.0, 0.002, 0.5), (0.2, 0.801, 2.0),
+                               (0.9, 0.101, 0.01))
+                for gamma in (0.5, 1.0, 3.0)]
 
 
 class TestBvp3Quadrature:

@@ -27,6 +27,7 @@ from ginicorr.gini import (
 from ginicorr.oracle import mc_reference
 from ginicorr.weights import WeightFunction
 from ginicorr.wipm import (
+    ORIENTATIONS,
     Portfolio,
     allocate,
     classical_wipm_rhs,
@@ -35,6 +36,7 @@ from ginicorr.wipm import (
     margin_gini_premium,
     weighted_premium,
 )
+from test_gini import W_TABLE, _record_sorts
 
 W_ID = WeightFunction.identity()
 W_POW1 = WeightFunction.power(1.0)
@@ -304,6 +306,51 @@ class TestAllocate:
         p = Portfolio(("a", "b"), [[1e308, 1e308], [1, 2], [3, 1], [5, 7]])
         with pytest.raises(DomainError, match="row sum"):
             allocate(p, W_POW1)
+
+
+def _three_columns():
+    return Portfolio(("a", "b", "c"), np.random.default_rng(14).standard_gamma(2.0, (400, 3)))
+
+
+class TestAggregateMemo:
+    """allocate ranks S in p.aggregate's memo entry, which gini_premium on S shares."""
+
+    def test_allocate_twice_sorts_the_aggregate_once(self, monkeypatch):
+        p = _three_columns()
+        ranked = _record_sorts(monkeypatch)
+        first = allocate(p, W_BETA)
+        assert allocate(p, W_BETA) == first
+        assert len(ranked) == 1 and ranked[0] is p.aggregate
+
+    @pytest.mark.parametrize("orientation", ORIENTATIONS)
+    def test_premium_of_the_aggregate_after_allocate_sorts_nothing(self, monkeypatch,
+                                                                   orientation):
+        p = _three_columns()
+        ranked = _record_sorts(monkeypatch)
+        allocate(p, W_BETA)
+        total = gini_premium(PairedSample(p.aggregate, p.aggregate), W_BETA, orientation)
+        assert len(ranked) == 1
+        assert total.premium == allocate(p, W_BETA, orientation)[0].detail["aggregate_premium"]
+
+    @pytest.mark.parametrize("w", [W_POW1, W_BETA, W_TABLE], ids=["power", "beta", "table"])
+    def test_warm_aggregate_matches_a_cold_copy_bitwise(self, w):
+        p = _three_columns()
+        for orientation in ORIENTATIONS:
+            gini_premium(PairedSample(p.aggregate, p.aggregate), w, orientation)
+            cold = allocate(Portfolio(p.names, p.columns.copy()), w, orientation)
+            warm = allocate(p, w, orientation)
+            assert [(a.premium, a.base, a.detail) for a in warm] == [
+                (a.premium, a.base, a.detail) for a in cold]
+
+    def test_bad_orientation_is_refused_before_ranking(self, monkeypatch):
+        p = _three_columns()
+        ranked = _record_sorts(monkeypatch)
+        with pytest.raises(DomainError, match="orientation"):
+            gini_premium(PairedSample(p.aggregate, p.aggregate), W_POW1, "bogus")
+        assert ranked == []
+        with pytest.raises(DomainError, match="orientation"):
+            allocate(p, W_POW1, "bogus")
+        assert ranked == []
 
 
 class TestPortfolio:
