@@ -36,20 +36,14 @@ from .distributions import (
     sample,
 )
 from .errors import (
-    ConvergenceError,
     DegenerateSampleError,
     DomainError,
     GiniCorrError,
     MomentError,
     NoLinearRegressionError,
-    QuadratureError,
     UnsupportedPairError,
 )
 from .weights import WeightFunction
-
-_USAGE_ERRORS = (DomainError, MomentError, UnsupportedPairError,
-                 NoLinearRegressionError, DegenerateSampleError)
-_NUMERIC_ERRORS = (ConvergenceError, QuadratureError)
 
 FAMILIES = {c.name: c for c in (Normal, EllipticalT, BVP1, BVP2, BVP3)}
 
@@ -60,6 +54,11 @@ def _fmt(x) -> str:
 
 class CliError(Exception):
     """Usage/validation failure destined for exit code 2."""
+
+
+# exit 2; every other GiniCorrError is a numerical failure, exit 1
+_USAGE_ERRORS = (CliError, DomainError, MomentError, UnsupportedPairError,
+                 NoLinearRegressionError, DegenerateSampleError)
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +98,7 @@ def build_family(args):
     if missing:
         flags = " ".join("--" + m.replace("_", "-") for m in missing)
         raise CliError(f"family {args.family!r} needs {flags}")
-    try:
-        return cls(**{n: getattr(args, n) for n in names})
-    except DomainError as exc:
-        raise CliError(str(exc)) from exc
+    return cls(**{n: getattr(args, n) for n in names})
 
 
 def _add_family_flags(p: argparse.ArgumentParser):
@@ -411,19 +407,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _USAGE_ERRORS as exc:
-        suggestion = getattr(exc, "suggestion", None)
-        hint = f" (try: {suggestion})" if suggestion else ""
+        # the library's suggestion names library routes; these two CLI
+        # methods serve every (family, weight) pair
+        hint = (" (try: --method empirical or --method oracle)"
+                if isinstance(exc, UnsupportedPairError) else "")
         print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
     except GiniCorrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 
 

@@ -50,12 +50,13 @@ class PairedSample:
     A sample's values are fixed after construction: xs and ys are read-only
     views of the arrays passed in (no copy; an array already read-only is
     kept as it is), so the finiteness check made here stays valid for the
-    sample's life.  So do the ranks and rank weights of each margin, which
-    gini computes on first use and keeps in a memo entry per read-only
-    array: every sample built on the same read-only arrays, as
+    sample's life.  So do each margin's sort order and tie starts and its
+    rank weights, with w evaluated once per distinct rank, which gini
+    computes on first use and keeps in a memo entry per read-only array:
+    every sample built on the same read-only arrays, as
     PairedSample(s.xs, s.xs), s.swapped() or PairedSample(s.ys, s.xs),
     shares them, and a sample built from one array twice, as
-    PairedSample(a, a), ranks it once.  A Portfolio's read-only aggregate
+    PairedSample(a, a), sorts it once.  A Portfolio's read-only aggregate
     has an entry too, which allocate and gini_premium on
     PairedSample(p.aggregate, p.aggregate) share.  A writable input gets a
     fresh view, so nothing a caller can still write to is shared; writing

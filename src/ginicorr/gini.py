@@ -64,25 +64,24 @@ class CorrelationReport:
     detail: dict = field(default_factory=dict)
 
 
-def _ranks(v: np.ndarray) -> np.ndarray:
-    """Average ranks of v: ties share their mean rank.
+def _sort_order(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """v's stable sort order and the starts of its tie groups in that order.
+
+    The order equals np.argsort(v, kind="stable"); starts indexes the first
+    position of each run of equal values, and is None when v has no ties.
 
     One in-place sort of packed int64 keys, not an argsort.  A value's
     bits, with the sign-magnitude order turned into two's complement
     (-0.0 made 0.0 first), keep their high part; the low (n-1).bit_length()
     bits are replaced by the value's index, so the sorted keys' low bits
-    are a sort order.  Keys whose high parts differ are in value order.
-    Adjacent keys with equal high parts are ties or collisions (distinct
-    values equal in their high bits); their values are compared, and each
-    run of equal high parts holding an out-of-order pair is re-sorted by
-    value.  Where such pairs are near at hand (ties everywhere) the sorted
-    values are gathered once; where the runs would hold over a quarter of
-    the values, one argsort of v is cheaper and takes their place.
-
-    Without ties the ranks 1..n are scattered through the order; with ties
-    each group's mean rank start + (count+1)/2 is.  A rank is a
-    half-integer, exact in floating point, so r / (n+1) matches scipy's
-    average ranks over n+1 bit for bit.
+    are a sort order, stable since equal high parts sort by index.  Keys
+    whose high parts differ are in value order.  Adjacent keys with equal
+    high parts are ties or collisions (distinct values equal in their high
+    bits); their values are compared, and each run of equal high parts
+    holding an out-of-order pair is re-sorted stably by value.  Where such
+    pairs are near at hand (ties everywhere) the sorted values are gathered
+    once; where the runs would hold over a quarter of the values, one
+    stable argsort of v is cheaper and takes their place.
     """
     n = v.size
     low = (1 << (n - 1).bit_length()) - 1
@@ -91,15 +90,15 @@ def _ranks(v: np.ndarray) -> np.ndarray:
     k &= ~low
     k |= np.arange(n)
     k.sort()
-    r = np.empty(n)
+    buf = np.empty(n)
     ku = k.view(np.uint64)
-    near = np.bitwise_xor(ku[1:], ku[:-1], out=r.view(np.uint64)[:-1]) <= low
+    near = np.bitwise_xor(ku[1:], ku[:-1], out=buf.view(np.uint64)[:-1]) <= low
     gathered = np.count_nonzero(near) * 4 > n
     if gathered:
         order = k & low
-        # into r, whose xor gaps are spent; mode "clip" (the indices are in
+        # into buf, whose xor gaps are spent; mode "clip" (the indices are in
         # range) writes straight to it where "raise" would buffer
-        sv = np.take(v, order, out=r, mode="clip")
+        sv = np.take(v, order, out=buf, mode="clip")
         bad = np.flatnonzero(sv[1:] < sv[:-1])
     else:
         near = np.flatnonzero(near)
@@ -107,8 +106,8 @@ def _ranks(v: np.ndarray) -> np.ndarray:
     pos = _unsorted_runs(k, bad, low) if bad.size * 4 <= n else None
     if pos is None or pos.size * 4 > n:
         del k, ku  # free the keys before the argsort
-        order = np.argsort(v)
-        sv = np.take(v, order, out=r, mode="clip")
+        order = np.argsort(v, kind="stable")
+        sv = np.take(v, order, out=buf, mode="clip")
         gathered = True
     else:
         if not gathered:
@@ -126,13 +125,7 @@ def _ranks(v: np.ndarray) -> np.ndarray:
     else:
         new = np.ones(n, dtype=bool)
         new[near[v[order[near]] == v[order[near + 1]]] + 1] = False
-    if new.all():
-        r[order] = np.arange(1.0, n + 1.0)
-    else:
-        starts = np.flatnonzero(new)
-        counts = np.diff(starts, append=n)
-        r[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
-    return r
+    return order, None if new.all() else np.flatnonzero(new)
 
 
 def _unsorted_runs(k: np.ndarray, bad: np.ndarray, low: int) -> np.ndarray:
@@ -149,15 +142,16 @@ def _unsorted_runs(k: np.ndarray, bad: np.ndarray, low: int) -> np.ndarray:
 class _Derived:
     """What is derived from one read-only array, computed on first use.
 
-    ranks are its average ranks; weighted is (w, w(1 - ranks/(n+1))) for
-    the last weight w asked for, held as one tuple so that a reader never
-    pairs one weight with another's values.  Both arrays are read-only.
+    order is its stable sort order and tie starts, _sort_order's pair;
+    weighted is (w, w(1 - r/(n+1))) at its average ranks r for the last
+    weight w asked for, held as one tuple so that a reader never pairs one
+    weight with another's values.  Every array is read-only.
     """
 
-    __slots__ = ("ref", "ranks", "weighted")
+    __slots__ = ("ref", "order", "weighted")
 
     def __init__(self, ref):
-        self.ref, self.ranks, self.weighted = ref, None, None
+        self.ref, self.order, self.weighted = ref, None, None
 
 
 # one entry per read-only array, keyed by id(array); the weakref's
@@ -174,11 +168,12 @@ def _forget(key: int, ref: weakref.ref) -> None:
 def _derived(a: np.ndarray) -> _Derived:
     """a's memo entry, made empty on a's first use.
 
-    Valid only for a read-only array, whose values are fixed: a
-    PairedSample's margins and a Portfolio's aggregate are.  Every sample
-    built on those same views, as PairedSample(s.xs, s.xs), s.swapped(),
-    lambda_w_empirical(s.xs, w) or PairedSample(p.aggregate, p.aggregate),
-    finds the same entry.
+    It keeps a's sort order and tie starts and the last weight's values,
+    with w evaluated once per distinct rank.  Valid only for a read-only
+    array, whose values are fixed: a PairedSample's margins and a
+    Portfolio's aggregate are.  Every sample built on those same views, as
+    PairedSample(s.xs, s.xs), s.swapped(), lambda_w_empirical(s.xs, w) or
+    PairedSample(p.aggregate, p.aggregate), finds the same entry.
     """
     key = id(a)
     d = _DERIVED.get(key)
@@ -187,14 +182,16 @@ def _derived(a: np.ndarray) -> _Derived:
     return d
 
 
-def _margin_ranks(a: np.ndarray) -> np.ndarray:
-    """Average ranks of the read-only array a, sorted on first use and kept in its memo entry."""
+def _margin_order(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """_sort_order of the read-only array a, sorted on first use and kept in its memo entry."""
     d = _derived(a)
-    if d.ranks is None:
-        r = _ranks(a)
-        r.flags.writeable = False
-        d.ranks = r
-    return d.ranks
+    if d.order is None:
+        order, starts = _sort_order(a)
+        for x in (order, starts):
+            if x is not None:
+                x.flags.writeable = False
+        d.order = order, starts
+    return d.order
 
 
 def _margin_weights(a: np.ndarray, w: WeightFunction) -> np.ndarray:
@@ -205,39 +202,37 @@ def _margin_weights(a: np.ndarray, w: WeightFunction) -> np.ndarray:
     d = _derived(a)
     weighted = d.weighted
     if weighted is None or weighted[0] is not w:
-        wv = _rank_weights(w, _margin_ranks(a), a.size)
+        wv = _rank_weights(w, *_margin_order(a))
         wv.flags.writeable = False
         weighted = d.weighted = (w, wv)
     return weighted[1]
 
 
-def _rank_weights(w: WeightFunction, r: np.ndarray, n: int) -> np.ndarray:
-    """w(1 - u) at the plotting positions u = r / (n+1).
+def _rank_weights(w: WeightFunction, order: np.ndarray, starts: np.ndarray | None,
+                  reflected: bool = False) -> np.ndarray:
+    """w(1 - u) at the plotting positions u = r / (n+1) of a sort order's average ranks r.
 
-    Keeps every weight argument strictly inside (0, 1), so weights are never
-    evaluated at the endpoints.
+    The ranks are 1..n in the order, or start + (count+1)/2 for each tie
+    group of starts, so w is evaluated once per distinct rank, in sort
+    order, and its values are scattered into place.  reflected takes the
+    ranks n + 1 - r of the negated values, as lambda_w does.  The positions
+    are formed in place.  Keeps every weight argument strictly inside
+    (0, 1), so weights are never evaluated at the endpoints.
     """
-    return w(1.0 - r / (n + 1.0))
-
-
-def _sort_order(r: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """A margin's sort order and its tie groups' starts in it, from average ranks r.
-
-    Without ties the order is 1..n scattered through r - 1 and starts is
-    None.  With ties it is a stable argsort of the integer labels 2r - 2,
-    which are distinct half-integer ranks doubled, so equal values share a
-    label and the labels ascend with the values; starts indexes each
-    group's first position.  Either way it equals np.argsort(v,
-    kind="stable") for the values v ranked, which are not sorted again.
-    """
-    n = r.size
-    o = np.zeros(n, dtype=np.intp)
-    o[(r - 1.0).astype(np.intp)] = np.arange(n)
-    if np.array_equal(r[o], np.arange(1.0, n + 1.0)):
-        return o, None
-    k = (2.0 * r - 2.0).astype(np.intp)
-    o = np.argsort(k, kind="stable")
-    return o, np.flatnonzero(np.diff(k[o], prepend=-1))
+    n = order.size
+    if starts is None:
+        u = np.arange(1.0, n + 1.0)
+    else:
+        counts = np.diff(starts, append=n)
+        u = starts + (counts + 1) / 2.0
+    if reflected:
+        np.subtract(n + 1.0, u, out=u)
+    u /= n + 1.0
+    wv = w(np.subtract(1.0, u, out=u))
+    if starts is not None:
+        u, wv = np.empty(n), np.repeat(wv, counts)
+    u[order] = wv
+    return u
 
 
 def _margin_terms(c, o, starts, x_o, m, table, work):
@@ -342,20 +337,20 @@ def empirical_cw(s: PairedSample, w: WeightFunction, n_boot: int = 200,
     samples by the rearrangement inequality; under heavy ties the average
     ranks can break them slightly, which is documented, not enforced.
 
-    Each margin array is sorted at most once, and w is evaluated over its
-    ranks once per weight: both are kept in the array's memo entry, which
-    gini_premium, gini_wipm_rhs, lambda_w and every sample built on the
-    same read-only arrays share.  n_boot > 0 attaches a seeded
-    nonparametric-bootstrap standard error; pass 0 to skip it on large
-    inputs.  n_boot < 0 or 0 < n_boot < 10 raises DomainError.  The
-    bootstrap recovers each margin's sort order from the cached ranks
-    without sorting again, draws each resample as multiplicity counts over
-    the sample and reads its ranks off the running sums of those counts in
-    each margin's order (summed over tie groups first where there are
-    ties), so w is evaluated once per possible average rank, not per
-    resample.  Constant xs have no C_w: the sample raises
-    DegenerateSampleError and such a resample is skipped; detail records
-    n_boot_used and n_boot_skipped.
+    Each margin array is sorted at most once, and w is evaluated once per
+    weight and distinct rank: the array's memo entry keeps its sort order
+    and tie starts and the weight's values, and gini_premium,
+    gini_wipm_rhs, lambda_w and every sample built on the same read-only
+    arrays share it.  n_boot > 0 attaches a seeded nonparametric-bootstrap
+    standard error; pass 0 to skip it on large inputs.  n_boot < 0 or 0 <
+    n_boot < 10 raises DomainError.  The bootstrap reads each margin's
+    sort order and tie starts from the memo without sorting again, draws
+    each resample as multiplicity counts over the sample and reads its
+    ranks off the running sums of those counts in each margin's order
+    (summed over tie groups first where there are ties), so w is evaluated
+    once per possible average rank, not per resample.  Constant xs have no
+    C_w: the sample raises DegenerateSampleError and such a resample is
+    skipped; detail records n_boot_used and n_boot_skipped.
     """
     _check_n_boot(n_boot)
     n = s.n
@@ -365,8 +360,8 @@ def empirical_cw(s: PairedSample, w: WeightFunction, n_boot: int = 200,
     if n_boot > 0:
         # w at every average rank a resample can produce, 1, 1.5, ..., n,
         # and a 0 at each end
-        table = np.pad(_rank_weights(w, np.arange(2, 2 * n + 1) / 2.0, n), 1)
-        (ox, gx), (oy, gy) = (_sort_order(_margin_ranks(a)) for a in (s.xs, s.ys))
+        table = np.pad(w(1.0 - np.arange(2, 2 * n + 1) / 2.0 / (n + 1.0)), 1)
+        (ox, gx), (oy, gy) = _margin_order(s.xs), _margin_order(s.ys)
         x_ox, x_oy = s.xs[ox], s.xs[oy]
         work = (*np.empty((2, n), dtype=np.intp), *np.empty((2, n)))
 
@@ -458,18 +453,19 @@ def lambda_w(x, w: WeightFunction) -> float:
     """Dispatch: sample arrays / PairedSample xs -> ranks, margins -> quadrature.
 
     An array is taken as PairedSample(xs, xs): n >= 3 finite 1-d values, else
-    DomainError.  xs are ranked and w(1 - u) evaluated through the margin's memo
-    entry, and empirical C_w(xs, -xs) == -lambda_w(xs) bit for bit on tie-free
-    data, as both evaluate w on one rank array.
+    DomainError.  w(1 - u) is read from the margin's memo entry, and the
+    reflected weights w(1 - (n+1-r)/(n+1)) are evaluated once per distinct
+    rank from the sort order kept there.  Empirical C_w(xs, -xs) ==
+    -lambda_w(xs) bit for bit on tie-free data, as both evaluate w at the
+    same positions.
     """
     if isinstance(x, (np.ndarray, list, tuple)):
         x = PairedSample(x, x)
     elif not isinstance(x, PairedSample):
         return lambda_w_margin(x, w)
-    n = x.n
     # under average ties rank(-x) = n + 1 - rank(x) exactly
     return -_cw_ratio(x.xs, x.xs - x.xs.mean(), _margin_weights(x.xs, w),
-                      _rank_weights(w, n + 1.0 - _margin_ranks(x.xs), n))
+                      _rank_weights(w, *_margin_order(x.xs), reflected=True))
 
 
 # ---------------------------------------------------------------------------

@@ -161,10 +161,14 @@ def margin_gini_premium(margin, w: WeightFunction) -> float:
 def gini_wipm_rhs(f_or_s, w: WeightFunction) -> PremiumResult:
     """Right-hand side of the Gini WIPM identity.
 
-    E[X] + C_w[X,Y] (Cov[X, w(1-F_X)] / Cov[Y, w(1-F_Y)]) (pi_{G,w}[Y] - E[Y]),
-    valid when E[X | Y] is linear.  Accepts a parametric family (closed
-    components, method "closed_identity") or a paired sample (rank plug-ins
-    throughout, method "empirical").  The loading slope C_w * Cov_X / Cov_Y
+    E[X] + C_w[X,Y] (Cov[X, w(1-F_X)] / Cov[Y, w(1-F_Y)]) (pi_{G,w}[Y] - E[Y]).
+    Accepts a parametric family (closed components, method
+    "closed_identity"), where it equals the Gini premium when E[X | Y] is
+    linear, or a paired sample (rank plug-ins throughout, method
+    "empirical").  On a sample the slope is (dev_x . w_Y) / (dev_y . w_Y),
+    so the right-hand side reduces to (x . w_Y) / sum w_Y: it is
+    gini_premium(s, w) up to rounding, with or without a linear
+    regression.  The loading slope C_w * Cov_X / Cov_Y
     equals the regression slope beta; the family route takes C_w as
     beta Cov_Y / Cov_X, so its slope is beta itself: rho sqrt(Var X / Var Y)
     for the normal family, sigma_xy / sigma_y^2 for the elliptical-t family,
@@ -227,8 +231,8 @@ def allocate(p: Portfolio, w: WeightFunction,
     of the numerator the allocations sum to the aggregate premium
     pi_{G,w}[S] exactly (up to floating summation).  Each detail map
     records that premium as aggregate_premium; it equals
-    gini_premium(PairedSample(S, S)) bit for bit, and shares its ranks and
-    weights: both read p.aggregate's memo entry, so S is sorted once.
+    gini_premium(PairedSample(S, S)) bit for bit, and shares its sort order
+    and weights: both read p.aggregate's memo entry, so S is sorted once.
     """
     if len(p.names) < 2:
         raise DomainError("allocation needs at least 2 columns")

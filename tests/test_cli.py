@@ -119,7 +119,7 @@ class TestCorr:
                                "--delta-y", "0.7", "--weight", f"table:{t}",
                                "--method", "closed")
         assert code == 2
-        assert "empirical" in err or "oracle" in err
+        assert err.endswith("(try: --method empirical or --method oracle)\n")
 
     @pytest.mark.parametrize("n_boot", ["-4", "5"])
     def test_bootstrap_count_that_cannot_work_exits_2(self, capsys, n_boot):
@@ -483,13 +483,13 @@ class TestPrice:
     @pytest.mark.parametrize("allocate", [[], ["--allocate"]])
     def test_ranks_the_aggregate_once(self, capsys, monkeypatch, three_csv, allocate):
         ranked = []
-        kernel = ginicorr.gini._ranks
+        kernel = ginicorr.gini._sort_order
 
         def recording(v):
             ranked.append(v)
             return kernel(v)
 
-        monkeypatch.setattr(ginicorr.gini, "_ranks", recording)
+        monkeypatch.setattr(ginicorr.gini, "_sort_order", recording)
         code, _, _ = run_cli(capsys, "price", "--portfolio", str(three_csv),
                              "--weight", "beta:2,2", *allocate)
         assert code == 0

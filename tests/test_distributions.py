@@ -490,7 +490,7 @@ class TestPairedSample:
         t = PairedSample(s.xs.copy(), s.ys.copy(), dict(s.meta))
         before = repr(s)
         empirical_cw(s, WeightFunction.power(1.0), n_boot=0)
-        assert gini._DERIVED[id(s.xs)].ranks is not None and id(t.xs) not in gini._DERIVED
+        assert gini._DERIVED[id(s.xs)].order is not None and id(t.xs) not in gini._DERIVED
         assert s == t
         assert repr(s) == before == repr(t)
         assert [f.name for f in dataclasses.fields(s)] == ["xs", "ys", "meta"]

@@ -35,7 +35,7 @@ from ginicorr.errors import (
     UnsupportedPairError,
 )
 from ginicorr.gini import (
-    _ranks,
+    _rank_weights,
     _sort_order,
     closed_cw,
     cov_x_weighted,
@@ -311,17 +311,34 @@ def _rerank_bootstrap_se(stat, xs, ys, n_boot, seed):
 W_TABLE = WeightFunction.table([0.0, 0.3, 0.7, 1.0], [0.0, 0.2, 0.6, 1.0])
 
 
+def _ranks_of(o, starts):
+    """The average ranks of the values that sort order o and its tie starts describe."""
+    n = o.size
+    r = np.empty(n)
+    if starts is None:
+        r[o] = np.arange(1.0, n + 1.0)
+    else:
+        counts = np.diff(starts, append=n)
+        r[o] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return r
+
+
 def _assert_ranks_match(v):
-    """_ranks is rankdata and _sort_order a stable argsort of v, bit for bit."""
-    r = _ranks(v)
-    assert r.dtype == np.float64
-    assert np.array_equal(r, rankdata(v))
-    assert np.array_equal(r / (v.size + 1.0), rankdata(v) / (v.size + 1.0))
-    o, starts = _sort_order(r)
+    """_sort_order is a stable argsort of v with its tie starts, and the ranks
+    and plotting positions they give are rankdata's, bit for bit."""
+    o, starts = _sort_order(v)
     assert np.array_equal(o, np.argsort(v, kind="stable"))
     want = np.flatnonzero(np.diff(v[o], prepend=-np.inf))
     assert (starts is None) == (want.size == v.size)
     assert starts is None or np.array_equal(starts, want)
+    r = _ranks_of(o, starts)
+    assert r.dtype == np.float64
+    assert np.array_equal(r, rankdata(v))
+    u = rankdata(v) / (v.size + 1.0)
+    assert np.array_equal(r / (v.size + 1.0), u)
+    assert np.array_equal(_rank_weights(W_ID, o, starts), 1.0 - u)
+    assert np.array_equal(_rank_weights(W_ID, o, starts, reflected=True),
+                          1.0 - (v.size + 1.0 - rankdata(v)) / (v.size + 1.0))
 
 
 def _with_ulp_cluster(v, rng, size=64):
@@ -339,7 +356,7 @@ def _signed_extremes(rng, n):
     return rng.choice(np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]), n)
 
 
-# At n = 4096 (12 index bits) each input reaches one path of _ranks.
+# At n = 4096 (12 index bits) each input reaches one path of _sort_order.
 _KERNEL_INPUTS = {
     # few equal high parts: the adjacent pairs are compared one by one and
     # the cluster's run is re-sorted
@@ -382,7 +399,7 @@ class TestRankKernel:
              "dense collisions": 1.0 + 1e-12 * rng.random(n)}[name]
         tracemalloc.start()
         try:
-            _ranks(v)
+            _sort_order(v)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -399,13 +416,13 @@ class TestRankKernel:
 def _record_sorts(monkeypatch):
     """Route gini's ranking kernel through a recorder of the arrays it ranks."""
     ranked = []
-    kernel = gini._ranks
+    kernel = gini._sort_order
 
     def recording(v):
         ranked.append(v)
         return kernel(v)
 
-    monkeypatch.setattr(gini, "_ranks", recording)
+    monkeypatch.setattr(gini, "_sort_order", recording)
     return ranked
 
 
@@ -484,9 +501,9 @@ class TestRankCache:
         weighed = []
         rank_weights = gini._rank_weights
 
-        def recording(w, r, n):
-            weighed.append(r)
-            return rank_weights(w, r, n)
+        def recording(w, order, starts, reflected=False):
+            weighed.append(order)
+            return rank_weights(w, order, starts, reflected)
 
         monkeypatch.setattr(gini, "_rank_weights", recording)
         empirical_cw(s, W_POW2, n_boot=0)
@@ -520,7 +537,9 @@ class TestRankCache:
         s = _tied_sample()
         gini_wipm_rhs(s, W_BETA)
         for v in (s.xs, s.ys):
-            for a in (gini._margin_ranks(v), gini._margin_weights(v, W_BETA)):
+            assert gini._margin_order(v) is gini._DERIVED[id(v)].order
+            order, starts = gini._margin_order(v)
+            for a in (order, starts, gini._margin_weights(v, W_BETA)):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[0] = 0.0
@@ -535,6 +554,23 @@ class TestRankCache:
         assert len(gini._DERIVED) == before + 2000
         del kept, s
         assert len(gini._DERIVED) == before
+
+    def test_weight_is_evaluated_once_per_tie_group(self):
+        # a BVP3 sample rounded to one decimal, as the bootstrap benchmark's
+        # tied 10^4 sample is: about 100 distinct values a margin
+        s = sample(BVP3(delta=1.5, delta_x=1.5, delta_y=1.0), 10_000, seed=30)
+        s = PairedSample(np.round(s.xs, 1), np.round(s.ys, 1))
+        sizes = []
+
+        def w(t):
+            sizes.append(np.size(t))
+            return W_POW2(t)
+
+        value = lambda_w(s, w), gini_premium(s, w).premium
+        groups = [np.unique(s.xs).size] * 2 + [np.unique(s.ys).size]
+        assert sizes == groups and max(groups) < 300
+        cold = PairedSample(s.xs.copy(), s.ys.copy())
+        assert value == (lambda_w(cold, W_POW2), gini_premium(cold, W_POW2).premium)
 
 
 class TestCountsBootstrap:

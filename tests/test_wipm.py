@@ -174,6 +174,18 @@ class TestGiniWipmRhs:
             rhs = gini_wipm_rhs(s, w).premium
             assert rhs == pytest.approx(lhs, rel=1e-12)
 
+    @pytest.mark.parametrize("w", [W_POW1, WeightFunction.power(0.3), W_BETA, W_TABLE],
+                             ids=["power1", "power0.3", "beta", "table"])
+    @pytest.mark.parametrize("f", [BVP3(delta=1.5, delta_x=1.5, delta_y=1.0),
+                                   BVP3(delta=1.2, delta_x=0.3, delta_y=0.2)],
+                             ids=["bvp3", "bvp3-heavy"])
+    def test_sample_rhs_is_the_premium_without_linear_regression(self, f, w):
+        # BVP3 has no linear regression, but on a sample the slope is
+        # (dev_x . w_Y) / (dev_y . w_Y), so the rhs is (x . w_Y) / sum w_Y
+        s = sample(f, 5_000, seed=30)
+        rhs = gini_wipm_rhs(s, w).premium
+        assert rhs == pytest.approx(gini_premium(s, w).premium, rel=1e-13)
+
     @pytest.mark.parametrize("fam,seed", [
         (Normal(rho=0.5), 100),
         (BVP1(delta=3.0), 101),
