@@ -27,7 +27,10 @@ class WeightFunction:
 
     kind: "identity" | "power" | "beta_cdf" | "table"
     power and the identity (t^1) use `gamma`; beta_cdf `a`, `b`; table the knots.
-    Instances are immutable and safe to share between workers.
+    Instances are immutable and safe to share between workers: a table keeps
+    read-only copies of the knots passed in, so editing those arrays later
+    changes nothing.  Weights are equal, and hash alike, when their kind and
+    parameters are, knots compared by value.
     """
 
     kind: str
@@ -49,8 +52,8 @@ class WeightFunction:
                     f"beta_cdf weight requires finite a, b > 0, got a={self.a}, b={self.b}"
                 )
         elif self.kind == "table":
-            t = np.asarray(self.knots_t, dtype=float)
-            w = np.asarray(self.knots_w, dtype=float)
+            t = np.array(self.knots_t, dtype=float)
+            w = np.array(self.knots_w, dtype=float)
             if t.ndim != 1 or t.shape != w.shape or t.size < 2:
                 raise DomainError("table weight needs two equal-length knot arrays")
             if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w))):
@@ -61,6 +64,7 @@ class WeightFunction:
                 raise DomainError("table weight t-knots must lie in [0, 1]")
             if w.min() < 0.0 or w.max() > 1.0:
                 raise DomainError("table weight values must lie in [0, 1]")
+            t.flags.writeable = w.flags.writeable = False
             object.__setattr__(self, "knots_t", t)
             object.__setattr__(self, "knots_w", w)
             # the interpolant is clamped outside the knots and linear between
@@ -69,6 +73,21 @@ class WeightFunction:
                 raise DomainError("table weight must be non-decreasing on [0, 1]")
         else:
             raise DomainError(f"unknown weight kind {self.kind!r}")
+
+    def _key(self) -> tuple:
+        # the knots as tuples, which compare and hash by value
+        knots = (self.knots_t, self.knots_w)
+        if self.knots_t is not None:
+            knots = tuple(map(tuple, knots))
+        return (self.kind, self.gamma, self.a, self.b, *knots)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     # --- constructors -----------------------------------------------------
     @classmethod
@@ -85,8 +104,7 @@ class WeightFunction:
 
     @classmethod
     def table(cls, knots_t, knots_w) -> "WeightFunction":
-        return cls(kind="table", knots_t=np.asarray(knots_t, dtype=float),
-                   knots_w=np.asarray(knots_w, dtype=float))
+        return cls(kind="table", knots_t=knots_t, knots_w=knots_w)
 
     @classmethod
     def from_csv(cls, path) -> "WeightFunction":

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import gini as _gini
 from ._csvrows import read_numeric_csv
-from .distributions import PairedSample, margins, regression_line
+from .distributions import PairedSample, _read_only, margins, regression_line
 from .errors import DegenerateSampleError, DomainError
 from .weights import WeightFunction
 
@@ -52,7 +52,13 @@ class PremiumResult:
 
 @dataclass(frozen=True)
 class Portfolio:
-    """Named loss columns of common length; the aggregate is their sum."""
+    """Named loss columns of common length; the aggregate is their sum.
+
+    columns is a read-only view of the array passed in (no copy, as for a
+    PairedSample), so the checks made here and the aggregate summed from it
+    stay valid; writing to the array behind the view is outside this
+    contract.  Portfolios are equal when their names and values are.
+    """
 
     names: tuple
     columns: np.ndarray  # shape (n_obs, n_cols)
@@ -68,7 +74,12 @@ class Portfolio:
         if not np.all(np.isfinite(cols)):
             raise DomainError("portfolio losses must be finite")
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "columns", _read_only(cols))
+
+    def __eq__(self, other):
+        if not isinstance(other, Portfolio):
+            return NotImplemented
+        return self.names == other.names and np.array_equal(self.columns, other.columns)
 
     @cached_property
     def aggregate(self) -> np.ndarray:
@@ -165,11 +176,12 @@ def gini_wipm_rhs(f_or_s, w: WeightFunction) -> PremiumResult:
     Accepts a parametric family (closed components, method
     "closed_identity"), where it equals the Gini premium when E[X | Y] is
     linear, or a paired sample (rank plug-ins throughout, method
-    "empirical").  On a sample the slope is (dev_x . w_Y) / (dev_y . w_Y),
-    so the right-hand side reduces to (x . w_Y) / sum w_Y: it is
-    gini_premium(s, w) up to rounding, with or without a linear
-    regression.  The loading slope C_w * Cov_X / Cov_Y
-    equals the regression slope beta; the family route takes C_w as
+    "empirical").  On a sample the loading slope C_w Cov_X / Cov_Y is the
+    Gini beta (dev_x . w_Y) / (dev_y . w_Y), so the right-hand side is
+    (x . w_Y) / sum w_Y, with or without a linear regression: the premium
+    is gini_premium(s, w)'s bit for bit, and the detail map records cw, the
+    Gini beta as slope, and pi_y.  For a family the loading slope equals the
+    regression slope beta; the family route takes C_w as
     beta Cov_Y / Cov_X, so its slope is beta itself: rho sqrt(Var X / Var Y)
     for the normal family, sigma_xy / sigma_y^2 for the elliptical-t family,
     recorded in the detail map.  The family route also records the summed
@@ -181,17 +193,14 @@ def gini_wipm_rhs(f_or_s, w: WeightFunction) -> PremiumResult:
         s = f_or_s
         wx, wy = _gini._margin_weights(s.xs, w), _gini._margin_weights(s.ys, w)
         dev_x = s.xs - s.xs.mean()
-        dev_y = s.ys - s.ys.mean()
         cw = _gini._cw_ratio(s.xs, dev_x, wx, wy)
-        cov_x = float(dev_x @ wx) / s.n
-        cov_y = float(dev_y @ wy) / s.n
+        cov_y = (s.ys - s.ys.mean()) @ wy
         if cov_y == 0.0:
             raise DegenerateSampleError("Cov[Y, w(1-F_Y)] estimate is zero")
         pi_y = _premium(s.ys, wy)
-        ex, ey = float(s.xs.mean()), float(s.ys.mean())
-        slope = cw * cov_x / cov_y
-        return PremiumResult(ex + slope * (pi_y - ey), ex, "empirical",
-                             {"cw": cw, "slope": slope, "pi_y": pi_y})
+        return PremiumResult(_premium(s.xs, wy), float(s.xs.mean()), "empirical",
+                             {"cw": cw, "slope": float((dev_x @ wy) / cov_y),
+                              "pi_y": pi_y})
 
     f = f_or_s
     line = regression_line(f)  # rejects BVP3 and infinite-mean regimes
@@ -210,12 +219,10 @@ def classical_wipm_rhs(s: PairedSample, v_of_y) -> PremiumResult:
 
     E[X] + rho[X,Y] sqrt(Var X / Var Y) (pi_v[Y] - E[Y]).  Meaningless for
     infinite-variance populations; that failure mode is the reason the
-    Gini variant exists.  A constant margin raises DegenerateSampleError
-    (tested by range, since the mean of equal values can round off them).
+    Gini variant exists.  rho is empirical_pearson's value, so a constant
+    margin raises its DegenerateSampleError.
     """
-    if np.ptp(s.xs) == 0.0 or np.ptp(s.ys) == 0.0:
-        raise DegenerateSampleError("classical WIPM undefined: constant margin")
-    rho = float(np.corrcoef(s.xs, s.ys)[0, 1])
+    rho = _gini.empirical_pearson(s, n_boot=0).value
     ratio = float(s.xs.std(ddof=1) / s.ys.std(ddof=1))
     pi_v = weighted_premium(PairedSample(s.ys, s.ys, dict(s.meta)), v_of_y).premium
     ex, ey = float(s.xs.mean()), float(s.ys.mean())

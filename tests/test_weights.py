@@ -101,6 +101,44 @@ class TestAdmissibility:
             WeightFunction.table([0.0, 1.0], [0.0, 1.2])
 
 
+class TestValueSemantics:
+    def test_table_keeps_read_only_copies_of_the_knots(self):
+        from ginicorr.distributions import BVP2, PairedSample, sample
+        from ginicorr.wipm import gini_premium
+
+        kt, kw = np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.3, 1.0])
+        w = WeightFunction.table(kt, kw)
+        s = sample(BVP2(delta=2.1, delta_y=0.5254), 500, seed=4)
+        before = gini_premium(s, w).premium
+        kt[1], kw[1] = 0.2, 1.5
+        assert w(0.5) == 0.3
+        assert gini_premium(s, w).premium == before
+        assert gini_premium(PairedSample(s.xs.copy(), s.ys.copy()), w).premium == before
+        for knots in (w.knots_t, w.knots_w):
+            with pytest.raises(ValueError):
+                knots[1] = 0.9
+
+    def test_tables_compare_and_hash_by_value(self):
+        a = WeightFunction.table([0.0, 0.5, 1.0], [0.0, 0.3, 1.0])
+        b = WeightFunction.table(np.array([0.0, 0.5, 1.0]), (0.0, 0.3, 1.0))
+        c = WeightFunction.table([0.0, 0.5, 1.0], [0.0, 0.4, 1.0])
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != c and not a == c
+        assert a in [c, b] and a not in [c, WeightFunction.identity()]
+        assert len({a, b, c}) == 2
+
+    @pytest.mark.parametrize("w", [WeightFunction.identity(), WeightFunction.power(0.3),
+                                   WeightFunction.beta_cdf(2.0, 3.0)],
+                             ids=["identity", "power", "beta"])
+    def test_analytic_weights_compare_and_hash_by_their_fields(self, w):
+        # as the generated dataclass methods did: the field tuple, knots None
+        twin = WeightFunction(w.kind, w.gamma, w.a, w.b)
+        assert w == twin and hash(w) == hash(twin)
+        assert hash(w) == hash((w.kind, w.gamma, w.a, w.b, None, None))
+        assert w != WeightFunction.power(7.0) and w != "power"
+        assert w != WeightFunction.table([0.0, 1.0], [0.0, 1.0])
+
+
 class TestReflect:
     def test_identity_fixed_point(self):
         assert reflect(WeightFunction.identity()).kind == "identity"

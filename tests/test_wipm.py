@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from ginicorr.distributions import (
     BVP1,
@@ -164,15 +165,19 @@ class TestGiniWipmRhs:
         s = PairedSample(xs, xs.copy())
         pi = gini_premium(s, W_POW1).premium
         rhs = gini_wipm_rhs(s, W_POW1).premium
-        assert rhs == pytest.approx(pi, rel=1e-12)
+        assert rhs == pi
 
     def test_sample_identity_exact_generic(self):
-        # the rank plug-ins make the pricing identity exact on samples
+        # the rank plug-ins make the pricing identity exact on samples, and
+        # the loading slope is the Gini beta (dev_x . w_Y) / (dev_y . w_Y)
         s = sample(BVP2(delta=2.1, delta_y=0.5254), 20_000, seed=14)
         for w in (W_ID, W_BETA):
             lhs = gini_premium(s, w).premium
-            rhs = gini_wipm_rhs(s, w).premium
-            assert rhs == pytest.approx(lhs, rel=1e-12)
+            rhs = gini_wipm_rhs(s, w)
+            assert rhs.premium == lhs
+            wy = w(1.0 - rankdata(s.ys) / (s.n + 1))
+            beta = ((s.xs - s.xs.mean()) @ wy) / ((s.ys - s.ys.mean()) @ wy)
+            assert rhs.detail["slope"] == beta
 
     @pytest.mark.parametrize("w", [W_POW1, WeightFunction.power(0.3), W_BETA, W_TABLE],
                              ids=["power1", "power0.3", "beta", "table"])
@@ -184,7 +189,7 @@ class TestGiniWipmRhs:
         # (dev_x . w_Y) / (dev_y . w_Y), so the rhs is (x . w_Y) / sum w_Y
         s = sample(f, 5_000, seed=30)
         rhs = gini_wipm_rhs(s, w).premium
-        assert rhs == pytest.approx(gini_premium(s, w).premium, rel=1e-13)
+        assert rhs == gini_premium(s, w).premium
 
     @pytest.mark.parametrize("fam,seed", [
         (Normal(rho=0.5), 100),
@@ -411,6 +416,28 @@ class TestPortfolio:
     def test_validation(self):
         with pytest.raises(DomainError):
             Portfolio(("a",), np.array([[1.0], [np.inf], [2.0]]))
+
+    def test_columns_are_a_read_only_view(self):
+        cols = np.random.default_rng(5).pareto(2.5, (200, 3))
+        p = Portfolio(("a", "b", "c"), cols)
+        assert np.shares_memory(p.columns, cols)
+        with pytest.raises(ValueError):
+            p.columns[0, 0] = np.inf
+        with pytest.raises(ValueError):
+            p.columns[:, 0] *= 10.0
+        allocs = allocate(p, W_POW1)
+        total = sum(a.premium for a in allocs)
+        assert total == pytest.approx(allocs[0].detail["aggregate_premium"], rel=1e-12)
+        assert np.all(np.isfinite(p.columns))
+
+    def test_portfolios_compare_by_names_and_values(self):
+        cols = np.random.default_rng(6).pareto(2.5, (50, 2))
+        p = Portfolio(("a", "b"), cols)
+        assert p == Portfolio(["a", "b"], cols.copy()) and not p != Portfolio(("a", "b"), cols)
+        assert p != Portfolio(("a", "c"), cols)
+        assert p != Portfolio(("a", "b"), cols[:, ::-1])
+        assert p in [Portfolio(("b", "a"), cols), Portfolio(("a", "b"), cols.copy())]
+        assert p != p.names
 
 
 _BVP2 = BVP2(delta=2.1, delta_y=0.5254)
