@@ -27,10 +27,10 @@ from .distributions import (
     BVP1,
     BVP2,
     BVP3,
-    PARETO_FAMILIES,
     EllipticalT,
     Normal,
     PairedSample,
+    _elliptical,
     joint_ddf,
     pearson_closed_form,
     sample,
@@ -287,7 +287,7 @@ def cmd_surface(args) -> int:
         raise CliError("surface needs at least 2 steps per axis")
     if not (args.x_max > args.x_min and args.y_max > args.y_min):
         raise CliError("surface needs increasing axis ranges")
-    if isinstance(fam, PARETO_FAMILIES):
+    if not _elliptical(fam):
         if args.x_min < fam.mu_x or args.y_min < fam.mu_y:
             raise CliError(
                 f"grid below support: need x >= {fam.mu_x:g} and y >= {fam.mu_y:g}"

@@ -33,6 +33,7 @@ import numpy as np
 # than the whole package, and the Pareto families, which most commands use,
 # need neither.
 from .errors import DomainError, MomentError, UnsupportedPairError, NoLinearRegressionError
+from .specfun import ln_beta
 
 # Deterministic evaluation of the Student-t joint cdf (its Genz integrator
 # is randomized); fixed stream keeps CLI output byte-identical.
@@ -200,20 +201,22 @@ class StudentTMargin:
         """sigma (nu + z^2)/(nu - 1) f(z), z = stdtrit(nu, min(v, 1 - v)) (L is symmetric).
 
         With the density f(z) = K (1 + z^2/nu)^(-(nu+1)/2) this is
-        sigma nu/(nu - 1) K (1 + z^2/nu)^(-(nu-1)/2).  stdtrit saturates
-        near |z| = 7e153, so past |z| = 1e20 log(1 + z^2/nu) comes from the
-        leading tail term |z| = (c/v)^(1/nu) of P[T < z] ~ c |z|^(-nu),
-        whose relative error there is O(z^-2).  That branch is formed from
-        log min(v, 1 - v), so a tail that underflows loses nothing either.
+        sigma nu/(nu - 1) K (1 + z^2/nu)^(-(nu-1)/2), with log K =
+        -ln B(nu/2, 1/2) - log(nu)/2, which stays accurate as nu grows (the
+        three-lgamma form loses 1e-5 absolute at nu = 1e10).  stdtrit
+        saturates near |z| = 7e153, so past |z| = max(1e20, 1e8 sqrt(nu))
+        log(1 + z^2/nu) comes from the leading tail term |z| = (c/v)^(1/nu)
+        of P[T < z] ~ c |z|^(-nu), whose relative error there, O(nu/z^2),
+        is below 1e-16.  That branch is formed from log min(v, 1 - v), so a
+        tail that underflows loses nothing either.
         """
         from scipy import special
 
         nu = self.nu
-        log_k = (math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)
-                 - 0.5 * math.log(nu * math.pi))
+        log_k = -ln_beta(nu / 2.0, 0.5) - 0.5 * math.log(nu)
         log_c = log_k + 0.5 * (nu - 1.0) * math.log(nu)
         lt = np.minimum(log_v, log_u)
-        far = lt < log_c - nu * math.log(1e20)
+        far = lt < log_c - nu * max(math.log(1e20), math.log(1e8) + 0.5 * math.log(nu))
         z = special.stdtrit(nu, np.where(far, 0.25, np.exp(lt)))
         lz = np.where(far, 2.0 * (log_c - lt) / nu - math.log(nu), np.log1p(z * z / nu))
         return self.sigma * nu / (nu - 1.0) * np.exp(log_k - 0.5 * (nu - 1.0) * lz)
@@ -248,7 +251,8 @@ class _Elliptical(_Family):
 
     Both have E[X | Y] linear with slope sigma_xy / sigma_y^2 and C_w equal
     to the dispersion correlation for every weight; Normal is the nu = inf
-    member, with sigma_xy = rho sigma_x sigma_y.
+    member, with sigma_xy = rho sigma_x sigma_y, so one sampler and one
+    scipy joint cdf serve both.
     """
 
     @property
@@ -304,6 +308,10 @@ class EllipticalT(_Elliptical):
         if not det > 0.0:
             raise DomainError("dispersion matrix must be positive definite")
 
+    @property
+    def rho(self) -> float:
+        return self.sigma_xy / (self.sigma_x * self.sigma_y)
+
 
 @dataclass(frozen=True)
 class _Pareto(_Family):
@@ -351,8 +359,6 @@ class BVP3(_Pareto):
     delta_y: float = 1.0
 
 
-PARETO_FAMILIES = (BVP1, BVP2, BVP3)
-
 BivariateFamily = Union[Normal, EllipticalT, BVP1, BVP2, BVP3]
 
 
@@ -370,16 +376,23 @@ def margins(f: BivariateFamily):
     return pair
 
 
+def _elliptical(f) -> bool:
+    """True for Normal and EllipticalT, False for the Pareto families; DomainError otherwise."""
+    if isinstance(f, _Elliptical):
+        return True
+    if isinstance(f, _Pareto):
+        return False
+    raise DomainError(f"unknown family {f!r}")
+
+
 def _margin_pair(f: BivariateFamily):
-    if isinstance(f, Normal):
-        return NormalMargin(f.mu_x, f.sigma_x), NormalMargin(f.mu_y, f.sigma_y)
-    if isinstance(f, EllipticalT):
-        return (StudentTMargin(f.mu_x, f.sigma_x, f.nu),
-                StudentTMargin(f.mu_y, f.sigma_y, f.nu))
-    if isinstance(f, PARETO_FAMILIES):
+    if not _elliptical(f):
         return (ParetoIIMargin(f.mu_x, f.sigma_x, f.delta_x_star),
                 ParetoIIMargin(f.mu_y, f.sigma_y, f.delta_y_star))
-    raise DomainError(f"unknown family {f!r}")
+    if f.nu == math.inf:  # the normal and t Lorenz gaps differ
+        return NormalMargin(f.mu_x, f.sigma_x), NormalMargin(f.mu_y, f.sigma_y)
+    return (StudentTMargin(f.mu_x, f.sigma_x, f.nu),
+            StudentTMargin(f.mu_y, f.sigma_y, f.nu))
 
 
 # ---------------------------------------------------------------------------
@@ -387,36 +400,32 @@ def _margin_pair(f: BivariateFamily):
 # ---------------------------------------------------------------------------
 
 def _draw(f: BivariateFamily, n: int, rng: np.random.Generator):
-    if isinstance(f, Normal):
+    if _elliptical(f):
         z1 = rng.standard_normal(n)
         z2 = rng.standard_normal(n)
-        x = f.mu_x + f.sigma_x * z1
-        y = f.mu_y + f.sigma_y * (f.rho * z1 + math.sqrt(1.0 - f.rho ** 2) * z2)
-        return x, y
-    if isinstance(f, EllipticalT):
-        chol = np.linalg.cholesky(f.dispersion)
-        z = rng.standard_normal((2, n))
-        w = rng.chisquare(f.nu, n) / f.nu
-        g = (chol @ z) / np.sqrt(w)
-        return f.mu_x + g[0], f.mu_y + g[1]
-    if isinstance(f, PARETO_FAMILIES):
-        ex = rng.standard_exponential(n)
-        ey = rng.standard_exponential(n)
-        g = rng.standard_gamma(f.delta, n)
-        # mu + sigma e / (g_d + g) in place, in that order of operations; a
-        # zero index (BVP1, BVP2) draws no variate and divides by g itself
-        for e, d, mu, sigma in ((ex, f.delta_x, f.mu_x, f.sigma_x),
-                                (ey, f.delta_y, f.mu_y, f.sigma_y)):
-            e *= sigma
-            if d > 0.0:
-                gd = rng.standard_gamma(d, n)
-                gd += g
-                e /= gd
-            else:
-                e /= g
-            e += mu
-        return ex, ey
-    raise DomainError(f"unknown family {f!r}")
+        x = f.sigma_x * z1
+        y = f.sigma_y * (f.rho * z1 + math.sqrt(1.0 - f.rho ** 2) * z2)
+        if f.nu < math.inf:  # a normal pair over sqrt(chi2_nu / nu); Normal draws none
+            s = np.sqrt(rng.chisquare(f.nu, n) / f.nu)
+            x /= s
+            y /= s
+        return f.mu_x + x, f.mu_y + y
+    ex = rng.standard_exponential(n)
+    ey = rng.standard_exponential(n)
+    g = rng.standard_gamma(f.delta, n)
+    # mu + sigma e / (g_d + g) in place, in that order of operations; a
+    # zero index (BVP1, BVP2) draws no variate and divides by g itself
+    for e, d, mu, sigma in ((ex, f.delta_x, f.mu_x, f.sigma_x),
+                            (ey, f.delta_y, f.mu_y, f.sigma_y)):
+        e *= sigma
+        if d > 0.0:
+            gd = rng.standard_gamma(d, n)
+            gd += g
+            e /= gd
+        else:
+            e /= g
+        e += mu
+    return ex, ey
 
 
 def _checked_seed(seed: int) -> int:
@@ -455,10 +464,11 @@ def joint_ddf(f: BivariateFamily, x, y):
 
     Product form for the Pareto families (with inputs at or below the
     location boundary clamped, so the value degrades continuously to the
-    marginal ddf); Genz-algorithm survival evaluation for the elliptical
-    families via P[X > x, Y > y] = F_{(-X,-Y)}(-x, -y).
+    marginal ddf); for the elliptical families, scipy's multivariate t
+    cdf via P[X > x, Y > y] = F_{(-X,-Y)}(-x, -y), which at df = inf is
+    its multivariate normal.
     """
-    if isinstance(f, PARETO_FAMILIES):
+    if not _elliptical(f):
         xt = np.maximum((np.asarray(x, dtype=float) - f.mu_x) / f.sigma_x, 0.0)
         yt = np.maximum((np.asarray(y, dtype=float) - f.mu_y) / f.sigma_y, 0.0)
         # a zero index gives a factor u ** -0.0 == 1.0 exactly
@@ -471,13 +481,8 @@ def joint_ddf(f: BivariateFamily, x, y):
     xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float),
                                  np.asarray(y, dtype=float))
     pts = np.column_stack([-np.atleast_1d(xb).ravel(), -np.atleast_1d(yb).ravel()])
-    if isinstance(f, Normal):
-        vals = sps.multivariate_normal(mean=[-f.mu_x, -f.mu_y], cov=f.dispersion).cdf(pts)
-    elif isinstance(f, EllipticalT):
-        vals = sps.multivariate_t(loc=[-f.mu_x, -f.mu_y], shape=f.dispersion,
-                                  df=f.nu, seed=_T_CDF_SEED).cdf(pts)
-    else:
-        raise DomainError(f"unknown family {f!r}")
+    vals = sps.multivariate_t(loc=[-f.mu_x, -f.mu_y], shape=f.dispersion,
+                              df=f.nu, seed=_T_CDF_SEED).cdf(pts)
     vals = np.clip(np.atleast_1d(vals), 0.0, 1.0)
     if np.ndim(x) == 0 and np.ndim(y) == 0:
         return float(vals[0])
@@ -516,14 +521,12 @@ def regression_line(f: BivariateFamily) -> RegressionLine:
     Elliptical families: beta = sigma_xy / sigma_y^2.  Pareto families: see
     _pareto_slope, which raises for BVP3 and infinite-mean parameter regimes.
     """
-    if isinstance(f, _Elliptical):
+    if _elliptical(f):
         beta = f.sigma_xy / f.sigma_y ** 2
         return RegressionLine(f.mu_x - beta * f.mu_y, beta)
-    if isinstance(f, PARETO_FAMILIES):
-        alpha0 = f.sigma_x * _pareto_slope(f)
-        beta = alpha0 / f.sigma_y
-        return RegressionLine(f.mu_x + alpha0 - beta * f.mu_y, beta)
-    raise DomainError(f"unknown family {f!r}")
+    alpha0 = f.sigma_x * _pareto_slope(f)
+    beta = alpha0 / f.sigma_y
+    return RegressionLine(f.mu_x + alpha0 - beta * f.mu_y, beta)
 
 
 def pearson_closed_form(f: BivariateFamily) -> float:
@@ -534,21 +537,19 @@ def pearson_closed_form(f: BivariateFamily) -> float:
     delta > 2, formed from ratios so that no product overflows and dY* =
     delta (BVP1) gives 1/delta exactly.
     """
-    if isinstance(f, _Elliptical):
+    if _elliptical(f):
         if f.nu <= 2.0:
             raise MomentError(f"Pearson needs nu > 2, got {f.nu}")
         return f.sigma_xy / (f.sigma_x * f.sigma_y)
-    if isinstance(f, PARETO_FAMILIES):
-        if f.delta_x > 0.0:
-            raise UnsupportedPairError(
-                "no closed-form Pearson for BVP3 here; use a Monte Carlo reference",
-                suggestion="oracle.mc_reference(f, 'pearson', ...)",
-            )
-        d, dys = f.delta, f.delta_y_star
-        if d <= 2.0:  # dY* >= delta
-            raise MomentError(f"Pearson needs delta > 2, got {d}")
-        return math.sqrt(d / dys * ((d - 2.0) / (dys - 2.0))) / d
-    raise DomainError(f"unknown family {f!r}")
+    if f.delta_x > 0.0:
+        raise UnsupportedPairError(
+            "no closed-form Pearson for BVP3 here; use a Monte Carlo reference",
+            suggestion="oracle.mc_reference(f, 'pearson', ...)",
+        )
+    d, dys = f.delta, f.delta_y_star
+    if d <= 2.0:  # dY* >= delta
+        raise MomentError(f"Pearson needs delta > 2, got {d}")
+    return math.sqrt(d / dys * ((d - 2.0) / (dys - 2.0))) / d
 
 
 # The triplets (i1, i2, i3), i1 + i2 + i3 = 2, whose density coefficient is

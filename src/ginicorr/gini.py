@@ -26,12 +26,11 @@ import numpy as np
 from . import oracle as _oracle
 from .distributions import (
     BVP3,
-    PARETO_FAMILIES,
     BivariateFamily,
     PairedSample,
     ParetoIIMargin,
     _checked_seed,
-    _Elliptical,
+    _elliptical,
     _pareto_slope,
     bvp3_pdf_terms,
     margins,
@@ -172,7 +171,7 @@ def _derived(a: np.ndarray) -> _Derived:
     with w evaluated once per distinct rank.  Valid only for a read-only
     array, whose values are fixed: a PairedSample's margins and a
     Portfolio's aggregate are.  Every sample built on those same views, as
-    PairedSample(s.xs, s.xs), s.swapped(), lambda_w_empirical(s.xs, w) or
+    PairedSample(s.xs, s.xs), s.swapped(), lambda_w(s.xs, w) or
     PairedSample(p.aggregate, p.aggregate), finds the same entry.
     """
     key = id(a)
@@ -584,10 +583,8 @@ def closed_cw(f: BivariateFamily, w: WeightFunction) -> CorrelationReport:
     which also covers the pairs raising UnsupportedPairError here.
     """
     detail = {}
-    if isinstance(f, _Elliptical):
+    if _elliptical(f):
         value = f.sigma_xy / (f.sigma_x * f.sigma_y)
-    elif not isinstance(f, PARETO_FAMILIES):
-        raise DomainError(f"unknown family {f!r}")
     elif f.delta_x > 0.0:
         if w.kind not in ("identity", "power"):
             raise UnsupportedPairError(

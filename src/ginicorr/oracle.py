@@ -28,13 +28,13 @@ import numpy as np
 
 from .distributions import (
     BVP3,
-    PARETO_FAMILIES,
     BivariateFamily,
     PairedSample,
     ParetoIIMargin,
     chunk_seeds,
     margins,
     _draw,
+    _elliptical,
 )
 from .errors import DegenerateSampleError, DomainError, QuadratureError
 from .specfun import _Diagnosed, ln_beta
@@ -312,7 +312,7 @@ def hoeffding_cw(f: BivariateFamily, w: WeightFunction) -> float:
     and `error`: the numerator's (outer plus largest inner) and the
     denominator's, propagated to the ratio.
     """
-    if not isinstance(f, PARETO_FAMILIES):
+    if _elliptical(f):
         raise DomainError(f"the Hoeffding oracle covers the Pareto families, not {f!r}")
     d, dxs, dys = f.delta, *(m.delta for m in margins(f))
     mx = ParetoIIMargin(0.0, 1.0, dxs)

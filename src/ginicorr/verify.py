@@ -129,7 +129,7 @@ def _check_cw_self():
     s_neg = PairedSample(xs, -xs)
     upper = gini.empirical_cw(s_id, w, n_boot=0).value
     lower = gini.empirical_cw(s_neg, w, n_boot=0).value
-    lam = gini.lambda_w_empirical(xs, w)
+    lam = gini.lambda_w(xs, w)
     ok = upper == 1.0 and lower == -lam
     return ok, f"C(x,x) = {upper!r}, C(x,-x) + lambda = {lower + lam!r}"
 
@@ -154,7 +154,7 @@ def _check_bounds_small():
         xs = rng.standard_normal(60)
         ys = rng.standard_normal(60)
         c = gini.empirical_cw(PairedSample(xs, ys), w, n_boot=0).value
-        lam = gini.lambda_w_empirical(xs, w)
+        lam = gini.lambda_w(xs, w)
         if not (-lam - 1e-12 <= c <= 1.0 + 1e-12):
             bad += 1
     return bad == 0, f"{bad}/50 bound violations"

@@ -38,9 +38,10 @@ from ginicorr.errors import (
     UnsupportedPairError,
 )
 from ginicorr import gini
-from ginicorr.gini import empirical_cw, empirical_pearson
-from ginicorr.oracle import mc_reference
+from ginicorr.gini import closed_cw, cw_via_regression, empirical_cw, empirical_pearson
+from ginicorr.oracle import hoeffding_cw, mc_reference
 from ginicorr.weights import WeightFunction
+from ginicorr.wipm import gini_wipm_rhs
 
 ALL_FAMILIES = [
     Normal(rho=0.5),
@@ -123,6 +124,14 @@ class TestJointDdf:
         fxy = sps.multivariate_normal(mean=[0, 0], cov=[[1, 0.37], [0.37, 1]]).cdf([x, y])
         assert joint_ddf(f, x, y) == pytest.approx(1 - fx - fy + fxy, abs=1e-8)
 
+    def test_normal_is_scipys_multivariate_normal(self):
+        # the one multivariate_t call dispatches to it at df = inf
+        f = Normal(mu_x=1.0, mu_y=-2.0, sigma_x=2.0, sigma_y=0.5, rho=-0.6)
+        x, y = np.meshgrid(np.linspace(-4.0, 5.0, 7), np.linspace(-3.5, -0.5, 7))
+        pts = np.column_stack([-x.ravel(), -y.ravel()])
+        want = sps.multivariate_normal(mean=[-1.0, 2.0], cov=f.dispersion).cdf(pts)
+        assert np.array_equal(joint_ddf(f, x, y), np.clip(want, 0.0, 1.0).reshape(x.shape))
+
 
 class TestSampler:
     def test_deterministic(self):
@@ -160,6 +169,23 @@ class TestSampler:
         emp = np.mean(s.xs > 1.0)
         se = math.sqrt(p * (1 - p) / s.n)
         assert abs(emp - p) < 3 * se
+
+    def test_elliptical_draws_are_a_normal_pair_over_a_chi_scale(self):
+        # Normal is the nu = inf member: the same pair, and no chi-square draw
+        fn = Normal(mu_x=1.5, mu_y=-2.0, sigma_x=2.5, sigma_y=0.3, rho=-0.7)
+        ft = EllipticalT(mu_x=1.5, mu_y=-2.0, sigma_x=2.5, sigma_y=0.3, sigma_xy=-0.525,
+                         nu=2.5)
+        assert ft.rho == -0.525 / (2.5 * 0.3)
+        for f in (fn, ft):
+            s = sample(f, 1001, seed=9)
+            rng = np.random.default_rng(9)
+            z1, z2 = rng.standard_normal(1001), rng.standard_normal(1001)
+            x = f.sigma_x * z1
+            y = f.sigma_y * (f.rho * z1 + math.sqrt(1.0 - f.rho ** 2) * z2)
+            if f is ft:
+                chi = np.sqrt(rng.chisquare(f.nu, 1001) / f.nu)
+                x, y = x / chi, y / chi
+            assert np.array_equal(s.xs, f.mu_x + x) and np.array_equal(s.ys, f.mu_y + y)
 
     def test_normal_independence(self):
         s = sample(Normal(rho=0.0), 100_000, seed=1)
@@ -357,6 +383,23 @@ class TestValidation:
                 draw()
         # without a bootstrap the seed is not used
         assert empirical_cw(s, w, n_boot=0, seed=-3).value == empirical_cw(s, w, n_boot=0).value
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: sample(f, 10, seed=1),
+    margins,
+    lambda f: joint_ddf(f, 0.0, 0.0),
+    regression_line,
+    pearson_closed_form,
+    lambda f: closed_cw(f, WeightFunction.power(1.0)),
+    lambda f: cw_via_regression(f, WeightFunction.power(1.0)),
+    lambda f: gini_wipm_rhs(f, WeightFunction.power(1.0)),
+    lambda f: hoeffding_cw(f, WeightFunction.power(1.0)),
+], ids=["sample", "margins", "joint_ddf", "regression_line", "pearson_closed_form",
+        "closed_cw", "cw_via_regression", "gini_wipm_rhs", "hoeffding_cw"])
+def test_an_object_that_is_not_a_family_is_refused(call):
+    with pytest.raises(DomainError, match="^unknown family "):
+        call(object())
 
 
 def _non_finite_cases(*instances):

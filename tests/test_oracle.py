@@ -197,6 +197,21 @@ class TestTailQuadrature:
         # E[X] + 0.5 (pi_Y - E[Y]) = 0.5 Cov / E[w] = 0.5 * 1.1 * Cov
         assert gini_wipm_rhs(f, w).premium == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("nu", [1e16, 1e24, 1e40, 1e100, 1e300])
+    def test_student_t_normal_limit(self, nu):
+        # log K as three lgammas was 18 off at nu = 1e16, and past nu ~ 1e40
+        # every point took the tail term, which is O(nu/z^2) off there
+        for w in (WeightFunction.power(0.3), WeightFunction.beta_cdf(2.0, 2.0),
+                  WeightFunction.table([0.0, 0.4, 1.0], [0.0, 0.1, 1.0])):
+            got = cov_x_weighted(StudentTMargin(0.0, 1.0, nu), w)
+            assert got == pytest.approx(cov_x_weighted(NormalMargin(0.0, 1.0), w), rel=1e-11)
+
+    def test_elliptical_t_wipm_at_large_nu_is_the_normal_one(self):
+        # the premium read -4.7e-9 here, against the normal -0.3316
+        w = WeightFunction.beta_cdf(2.0, 2.0)
+        got = gini_wipm_rhs(EllipticalT(sigma_xy=0.5, nu=1e16), w).premium
+        assert got == pytest.approx(gini_wipm_rhs(Normal(rho=0.5), w).premium, rel=1e-11)
+
     def test_table_knots_inside_the_unit_interval(self):
         # the knots are break points; without them tanh-sinh stalls on the kinks
         w = WeightFunction.table([0.0, 0.2, 0.45, 0.8, 1.0], [0.0, 0.05, 0.5, 0.6, 1.0])
